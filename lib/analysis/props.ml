@@ -94,11 +94,11 @@ let unit_props = {
   bounds = { lo = 1.0; hi = 1.0 };
 }
 
-(* Catalog facts are exact: tables are immutable and the one-pass statistics
-   ([Cobj.Stats.scan]) cover every row — so a scan's row count is an exact
-   bound and null_frac = 0 / empty_frac = 0 are proofs, not estimates. *)
+(* Catalog facts are exact: tables are immutable and the one-pass table
+   summaries ([Cobj.Table.summary]) cover every row — so a scan's row count
+   is an exact bound and null_frac = 0 / empty_frac = 0 are proofs, not
+   estimates. *)
 let scan_props catalog table var =
-  let stats = Cstats.of_catalog catalog in
   let bounds =
     match Cstats.row_count catalog table with
     | Some n -> { lo = float_of_int n; hi = float_of_int n }
@@ -113,7 +113,7 @@ let scan_props catalog table var =
     | None -> keys
   in
   let null_free, non_empty =
-    match Cstats.table stats table with
+    match Cstats.find catalog table with
     | None -> (Sset.singleton (path var), Sset.empty)
     | Some t ->
       List.fold_left

@@ -16,4 +16,9 @@ val names : t -> string list
 (** Sorted. *)
 
 val tables : t -> Table.t list
+
+val stamp : t -> int Atomic.t
+(** The catalog's statistics-version slot: [0] until {!Stats.version}
+    stamps it. Each catalog value (each result of {!add}) has its own. *)
+
 val pp : t Fmt.t

@@ -1,146 +1,68 @@
-(* One-pass catalog statistics: per-table row counts and per-attribute
-   NDV / null / empty-set summaries. See stats.mli. *)
+(* Catalog statistics: per-table row counts and per-attribute NDV / null /
+   empty-set summaries, kept with each table. See stats.mli. *)
 
-type attr = {
+type attr = Table.attr = {
   ndv : int option;
   null_frac : float;
   empty_frac : float option;
   avg_card : float option;
 }
 
-type table = { name : string; rows : int; attrs : (string * attr) list }
+type table = Table.summary = {
+  name : string;
+  rows : int;
+  attrs : (string * attr) list;
+}
+
 type t = table list
 
-(* Attribute labels come from the declared element type when it is a tuple
-   (the common case for base tables); a non-tuple element type yields a
-   single anonymous attribute describing the whole element. *)
-let labels_of_elt elt =
-  match elt with
-  | Ctype.TTuple fields -> List.map fst fields
-  | _ -> [ "" ]
+let scan catalog = List.map Table.scan_summary (Catalog.tables catalog)
+let of_catalog catalog = List.map Table.summary (Catalog.tables catalog)
 
-module Vtbl = Hashtbl.Make (struct
-  type t = Value.t
-
-  let equal = Value.equal
-  let hash = Value.hash
-end)
-
-let attr_value label row =
-  match label, row with
-  | "", v -> Some v
-  | l, Value.Tuple _ -> Value.field_opt l row
-  | _, _ -> None
-
-let scan_table t =
-  let rows = Table.rows t in
-  let n = List.length rows in
-  let attrs =
-    List.map
-      (fun label ->
-        let nulls = ref 0 in
-        let collections = ref 0 in
-        let empties = ref 0 in
-        let members = ref 0 in
-        let distinct = Vtbl.create 64 in
-        List.iter
-          (fun row ->
-            match attr_value label row with
-            | None | Some Value.Null -> incr nulls
-            | Some v ->
-              Vtbl.replace distinct v ();
-              (match v with
-              | Value.Set elts | Value.List elts ->
-                incr collections;
-                members := !members + List.length elts;
-                if elts = [] then incr empties
-              | _ -> ()))
-          rows;
-        let frac num den =
-          if den = 0 then 0.0 else float_of_int num /. float_of_int den
-        in
-        let attr =
-          {
-            ndv = (if n = 0 then None else Some (Vtbl.length distinct));
-            null_frac = frac !nulls n;
-            empty_frac =
-              (if !collections = 0 then None
-               else Some (frac !empties !collections));
-            avg_card =
-              (if !collections = 0 then None
-               else Some (frac !members !collections));
-          }
-        in
-        (label, attr))
-      (labels_of_elt (Table.elt t))
-  in
-  { name = Table.name t; rows = n; attrs }
-
-let scan catalog = List.map scan_table (Catalog.tables catalog)
-
-(* Catalogs are immutable and planning happens on the calling domain, so a
-   single physically-keyed entry is a sound memo: re-planning the same
-   catalog (the common case in benches and the REPL) scans it once. *)
-let memo : (Catalog.t * t) option ref = ref None
-
-let of_catalog catalog =
-  match !memo with
-  | Some (c, s) when c == catalog -> s
-  | _ ->
-    let s = scan catalog in
-    memo := Some (catalog, s);
-    s
-
-(* Version stamps are keyed on physical identity like the memo above, but
-   must survive more than one live catalog (a server hosts one catalog per
-   session) and be readable from concurrent session threads — hence the
-   small mutex-guarded association list. The list is capped: entries for
-   catalogs nobody asks about any more age out, and a re-seen catalog would
-   simply be stamped afresh (stamps only ever grow, so a re-stamp can never
-   resurrect a stale cache entry). *)
-let version_mutex = Mutex.create ()
-let version_counter = ref 0
-let versions : (Catalog.t * int) list ref = ref []
-let max_versions = 64
+(* Stamps come from one process-wide counter. The compare-and-set makes
+   the first assignment final: a domain that loses the race discards its
+   number and returns the winner's. *)
+let next_version = Atomic.make 0
 
 let version catalog =
-  Mutex.lock version_mutex;
-  let stamp =
-    match List.assq_opt catalog !versions with
-    | Some v -> v
-    | None ->
-      incr version_counter;
-      let v = !version_counter in
-      let keep =
-        if List.length !versions >= max_versions then
-          List.filteri (fun i _ -> i < max_versions - 1) !versions
-        else !versions
-      in
-      versions := (catalog, v) :: keep;
-      v
-  in
-  Mutex.unlock version_mutex;
-  stamp
+  let slot = Catalog.stamp catalog in
+  match Atomic.get slot with
+  | 0 ->
+    let v = Atomic.fetch_and_add next_version 1 + 1 in
+    if Atomic.compare_and_set slot 0 v then v else Atomic.get slot
+  | v -> v
+
+(* The cost model asks these many times per compile (about fifty lookups
+   for a two-table query), so they avoid the option allocations of
+   [Catalog.find] and the polymorphic compare of [List.assoc_opt]. *)
+let rec assoc field = function
+  | [] -> None
+  | (l, a) :: rest -> if String.equal l field then Some a else assoc field rest
 
 let table stats name = List.find_opt (fun t -> String.equal t.name name) stats
 
 let attr stats tname aname =
-  match table stats tname with
-  | None -> None
-  | Some t -> List.assoc_opt aname t.attrs
+  match table stats tname with None -> None | Some t -> assoc aname t.attrs
+
+let find catalog name = Option.map Table.summary (Catalog.find name catalog)
 
 let row_count catalog name =
-  Option.map (fun t -> t.rows) (table (of_catalog catalog) name)
+  match Catalog.find_exn name catalog with
+  | t -> Some (Table.summary t).rows
+  | exception Not_found -> None
+
+let find_attr catalog tname field =
+  match Catalog.find_exn tname catalog with
+  | t -> assoc field (Table.summary t).attrs
+  | exception Not_found -> None
 
 let ndv catalog ~table:tname ~field =
-  match attr (of_catalog catalog) tname field with
+  match find_attr catalog tname field with
   | Some { ndv = Some d; _ } when d > 0 -> Some d
   | _ -> None
 
 let avg_set_card catalog ~table:tname ~field =
-  match attr (of_catalog catalog) tname field with
-  | Some { avg_card; _ } -> avg_card
-  | None -> None
+  Option.bind (find_attr catalog tname field) (fun a -> a.avg_card)
 
 let fopt = function None -> "-" | Some f -> Printf.sprintf "%.2f" f
 let iopt = function None -> "-" | Some i -> string_of_int i

@@ -1,46 +1,45 @@
-(** One-pass catalog statistics for the cost model and the CLI.
+(** Catalog statistics for the cost model and the CLI: per table, the row
+    count and per-attribute NDV / null / empty-set summaries
+    ({!Table.summary}, computed once per table on first use and kept with
+    it). The lookups resolve a table name through the catalog to that kept
+    summary, so catalogs sharing a table (e.g. after {!Catalog.add}) share
+    its summary, and no catalog is ever rescanned as a whole. *)
 
-    [scan] walks every table of a catalog exactly once and records, per
-    table, the row count and per-attribute summaries: distinct-value count
-    (NDV, over non-null values), fraction of null/missing values, and — for
-    set- or list-valued attributes — the fraction of empty collections and
-    the average collection cardinality. The planner consumes these through
-    {!of_catalog}, which memoizes the scan per catalog (physical identity:
-    catalogs are immutable and planning runs on the calling domain). *)
-
-type attr = {
-  ndv : int option;  (** distinct non-null values; [None] on empty tables *)
-  null_frac : float;  (** fraction of rows whose value is null or missing *)
+type attr = Table.attr = {
+  ndv : int option;
+  null_frac : float;
   empty_frac : float option;
-      (** among collection-valued rows, the empty fraction; [None] when the
-          attribute is never a collection *)
   avg_card : float option;
-      (** average collection cardinality; [None] like [empty_frac] *)
 }
 
-type table = {
+type table = Table.summary = {
   name : string;
   rows : int;
   attrs : (string * attr) list;
-      (** one entry per declared tuple field, in declaration (sorted) order;
-          a non-tuple element type yields a single [""] entry *)
 }
 
 type t = table list
 
 val scan : Catalog.t -> t
-(** Fresh statistics: one full pass over every table. *)
+(** Fresh statistics: one full pass over every table, ignoring (and not
+    filling) the kept summaries. *)
 
 val of_catalog : Catalog.t -> t
-(** Memoized {!scan} — repeated calls on the same catalog are free. *)
+(** The kept summary of every table, in name order — structurally equal to
+    {!scan}; only tables never summarized before are scanned. *)
+
+val find : Catalog.t -> string -> table option
+(** The kept summary of one table (computed now if it is the table's first
+    use); [None] when the catalog has no such table. *)
 
 val version : Catalog.t -> int
 (** Monotonic statistics-version stamp for cache keying: the first call on
-    a catalog assigns the next version number; later calls on the same
-    catalog (physical identity — catalogs are immutable, so a changed
-    catalog is a different value) return the same stamp. Plan-cache keys
-    embed this stamp, so any catalog change invalidates every cached plan
-    and result derived from the old statistics. Thread-safe. *)
+    a catalog assigns the next number from a process-wide counter and
+    stores it in the catalog ({!Catalog.stamp}); later calls return the
+    same stamp. Catalogs are immutable, so a changed catalog is a different
+    value with a new stamp. Plan-cache keys embed this stamp, so any
+    catalog change invalidates every cached plan and result derived from
+    the old statistics. Safe from any thread or domain. *)
 
 val table : t -> string -> table option
 val attr : t -> string -> string -> attr option

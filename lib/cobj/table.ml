@@ -5,12 +5,21 @@ module Value_tbl = Hashtbl.Make (struct
   let hash = Value.hash
 end)
 
+type attr = {
+  ndv : int option;
+  null_frac : float;
+  empty_frac : float option;
+  avg_card : float option;
+}
+
+type summary = { name : string; rows : int; attrs : (string * attr) list }
+
 type t = {
   name : string;
   elt : Ctype.t;
   rows : Value.t list;
   key : string list option;
-  distinct_cache : (string, int option) Hashtbl.t;
+  summary : summary option Atomic.t;
   index_cache : (string, Value.t list Value_tbl.t) Hashtbl.t;
 }
 
@@ -46,7 +55,7 @@ let create ?key ~name ~elt values =
     elt;
     rows;
     key;
-    distinct_cache = Hashtbl.create 4;
+    summary = Atomic.make None;
     index_cache = Hashtbl.create 4;
   }
 
@@ -86,25 +95,66 @@ let index_lookup field t v =
 
 let has_index field t = Hashtbl.mem t.index_cache field
 
-let distinct_count field t =
-  match Hashtbl.find_opt t.distinct_cache field with
-  | Some cached -> cached
-  | None ->
-    let result =
-      let seen = Hashtbl.create 64 in
-      let rec count = function
-        | [] -> Some (Hashtbl.length seen)
-        | row :: rest -> (
-          match Value.field_opt field row with
-          | None -> None
-          | Some v ->
-            Hashtbl.replace seen v ();
-            count rest)
-      in
-      count t.rows
+(* Attribute labels come from the declared element type when it is a tuple
+   (the common case for base tables); a non-tuple element type yields a
+   single anonymous attribute describing the whole element. *)
+let labels_of_elt = function
+  | Ctype.TTuple fields -> List.map fst fields
+  | _ -> [ "" ]
+
+let attr_value label row =
+  match label, row with
+  | "", v -> Some v
+  | l, Value.Tuple _ -> Value.field_opt l row
+  | _, _ -> None
+
+let scan_summary (t : t) =
+  let n = List.length t.rows in
+  let frac num den =
+    if den = 0 then 0.0 else float_of_int num /. float_of_int den
+  in
+  let scan_attr label =
+    let nulls = ref 0 in
+    let collections = ref 0 in
+    let empties = ref 0 in
+    let members = ref 0 in
+    let distinct = Value_tbl.create 64 in
+    List.iter
+      (fun row ->
+        match attr_value label row with
+        | None | Some Value.Null -> incr nulls
+        | Some v -> (
+          Value_tbl.replace distinct v ();
+          match v with
+          | Value.Set elts | Value.List elts ->
+            incr collections;
+            members := !members + List.length elts;
+            if elts = [] then incr empties
+          | _ -> ()))
+      t.rows;
+    let per_collection num =
+      if !collections = 0 then None else Some (frac num !collections)
     in
-    Hashtbl.add t.distinct_cache field result;
-    result
+    ( label,
+      {
+        ndv = (if n = 0 then None else Some (Value_tbl.length distinct));
+        null_frac = frac !nulls n;
+        empty_frac = per_collection !empties;
+        avg_card = per_collection !members;
+      } )
+  in
+  ({ name = t.name; rows = n; attrs = List.map scan_attr (labels_of_elt t.elt) }
+    : summary)
+
+(* Compute, then publish. Two domains racing on a cold table both scan and
+   store the same deterministic value; either store is a valid answer. *)
+let summary t =
+  match Atomic.get t.summary with
+  | Some s -> s
+  | None ->
+    let s = scan_summary t in
+    Atomic.set t.summary (Some s);
+    s
 
 (* Grid rendering for flat tuple rows; falls back to one value per line. *)
 let pp ppf t =

@@ -21,10 +21,25 @@ val key : t -> string list option
 val to_value : t -> Value.t
 (** The table's contents as a [Set] value. *)
 
-val distinct_count : string -> t -> int option
-(** Number of distinct values of a top-level tuple field, computed on first
-    use and cached — the statistic behind the cost model's join-selectivity
-    estimates. [None] when rows are not tuples or lack the field. *)
+type attr = {
+  ndv : int option;  (** distinct non-null values; [None] on empty tables *)
+  null_frac : float;  (** fraction of rows whose value is null or missing *)
+  empty_frac : float option;
+      (** empty fraction of the collection values; [None] if there are none *)
+  avg_card : float option;  (** average collection cardinality; likewise *)
+}
+
+type summary = { name : string; rows : int; attrs : (string * attr) list }
+(** A table's statistics: the row count and one [attr] per declared tuple
+    field, in declaration order (a non-tuple element type yields one [""]). *)
+
+val summary : t -> summary
+(** Computed by one pass over the rows on first use, then kept: later calls
+    return the same value. Domain-safe: a domain racing the first
+    computation computes the same value again. *)
+
+val scan_summary : t -> summary
+(** A fresh pass, bypassing the kept summary. *)
 
 val index_lookup : string -> t -> Value.t -> Value.t list
 (** [index_lookup field t v] — the rows whose top-level [field] equals [v],

@@ -238,6 +238,12 @@ let compile ?options ?(rewrite = true) ?(reorder = true) ?verify ?certify
       match phase "typecheck" (fun () -> Lang.Types.check_query catalog expr) with
       | Error err -> Error (Fmt.str "%a" Lang.Types.pp_error err)
       | Ok (resolved, _ty) ->
+        (* Summarize every table the query reads up front, so that reorder
+           and plan only look statistics up and their cost shows here. *)
+        phase "stats" (fun () ->
+            Lang.Ast.String_set.iter
+              (fun name -> ignore (Cobj.Stats.find catalog name))
+              (Lang.Ast.tables resolved));
         let* logical =
           logical_of ~check ~cert ~cert_on ~rewrite ~reorder strategy catalog
             resolved

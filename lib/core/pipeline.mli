@@ -1,5 +1,5 @@
-(** End-to-end query processing: parse → typecheck → translate → optimize →
-    plan → execute, with selectable strategies for the benches and the CLI.
+(** End-to-end query processing: parse → typecheck → stats → translate →
+    optimize → plan → execute, with selectable strategies for the benches and the CLI.
 
     Strategies:
     - [Interp] — the reference interpreter (pure nested-loop semantics, no

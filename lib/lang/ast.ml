@@ -353,3 +353,23 @@ let rec all_vars_acc acc e =
     Option.fold ~none:acc ~some:(all_vars_acc acc) where
 
 let all_vars e = all_vars_acc String_set.empty e
+
+let rec tables_acc acc e =
+  match e with
+  | Const _ | Var _ -> acc
+  | TableRef t -> String_set.add t acc
+  | Field (e1, _) | Unop (_, e1) | Agg (_, e1) | UnnestE e1
+  | VariantE (_, e1) | IsTag (e1, _) | AsTag (e1, _) ->
+    tables_acc acc e1
+  | If (c, a, b) -> tables_acc (tables_acc (tables_acc acc c) a) b
+  | TupleE fields ->
+    List.fold_left (fun acc (_, e1) -> tables_acc acc e1) acc fields
+  | SetE es | ListE es -> List.fold_left tables_acc acc es
+  | Binop (_, a, b) | Quant (_, _, a, b) | Let (_, a, b) ->
+    tables_acc (tables_acc acc a) b
+  | Sfw { select; from; where } ->
+    let acc = tables_acc acc select in
+    let acc = List.fold_left (fun acc (_, op) -> tables_acc acc op) acc from in
+    Option.fold ~none:acc ~some:(tables_acc acc) where
+
+let tables e = tables_acc String_set.empty e

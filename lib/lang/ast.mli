@@ -101,3 +101,7 @@ val size : expr -> int
 val all_vars : expr -> String_set.t
 (** Every identifier occurring in the expression, free or bound — for
     callers that must invent globally fresh names. *)
+
+val tables : expr -> String_set.t
+(** The catalog extensions an expression reads: its [TableRef] names (so
+    only what {!resolve_tables} has resolved). *)

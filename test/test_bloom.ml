@@ -92,8 +92,23 @@ let catalog_stats () =
     Alcotest.(check (float 1e-9)) "X.s null fraction" 0.0 a.Cstats.null_frac);
   Alcotest.(check (option int)) "missing table" None
     (Cstats.row_count catalog "NOPE");
-  Alcotest.(check bool) "of_catalog memoizes" true
-    (Cstats.of_catalog catalog == Cstats.of_catalog catalog)
+  (* Each table keeps its summary: repeated lookups return the same value,
+     a catalog extended with [Catalog.add] reuses the summaries of the
+     tables it shares, and the kept summaries agree with a fresh scan. *)
+  let x = Cobj.Catalog.find_exn "X" catalog in
+  Alcotest.(check bool) "table summary kept" true
+    (Cobj.Table.summary x == Cobj.Table.summary x);
+  let z =
+    Cobj.Table.create ~name:"Z"
+      ~elt:(Cobj.Ctype.ttuple [ ("k", Cobj.Ctype.TInt) ])
+      [ Value.tuple [ ("k", Value.Int 1) ] ]
+  in
+  let extended = Cobj.Catalog.add z catalog in
+  Alcotest.(check bool) "extended catalog reuses X's summary" true
+    (Option.get (Cstats.find extended "X")
+    == Option.get (Cstats.find catalog "X"));
+  Alcotest.(check bool) "of_catalog = scan" true
+    (Cstats.of_catalog catalog = s)
 
 (* --- runtime build-side swap --------------------------------------------- *)
 

@@ -289,6 +289,76 @@ let test_stats_version_invalidation () =
   Alcotest.(check int) "counted" 2 (Cache.invalidations cache);
   Alcotest.(check int) "empty" 0 (Cache.result_entries cache)
 
+(* Version stamps live in the catalog: any number of live catalogs keep
+   their first stamp, and stamping a catalog does not keep it alive. *)
+let test_stats_version_retention () =
+  let copy () = Cobj.Catalog.of_tables (Cobj.Catalog.tables gen_catalog) in
+  let catalogs = List.init 100 (fun _ -> copy ()) in
+  let first = List.map Cobj.Stats.version catalogs in
+  Alcotest.(check (list int)) "100 catalogs keep their stamps" first
+    (List.map Cobj.Stats.version catalogs);
+  Alcotest.(check int) "stamps are distinct" 100
+    (List.length (List.sort_uniq compare first));
+  let probe = Weak.create 1 in
+  let[@inline never] stamp_and_drop () =
+    let c = copy () in
+    ignore (Cobj.Stats.version c);
+    Weak.set probe 0 (Some c)
+  in
+  stamp_and_drop ();
+  Gc.full_major ();
+  Alcotest.(check bool) "dropped catalog is collected" false
+    (Weak.check probe 0)
+
+(* Four domains alternate between two catalogs whose tables have never
+   been summarized, so the first summaries race. Every lookup must agree
+   with a fresh scan, and each catalog must keep one stamp. *)
+let test_stats_cross_domain () =
+  let xy = Workload.Gen.xy { Workload.Gen.default_xy with seed = 5 } in
+  let xyz = Workload.Gen.xyz Workload.Gen.default_xyz in
+  let catalogs = [| xy; xyz |] in
+  let expected = Array.map Cobj.Stats.scan catalogs in
+  let agrees c (s : Cobj.Stats.t) =
+    Cobj.Stats.of_catalog c = s
+    && List.for_all
+         (fun (t : Cobj.Stats.table) ->
+           Cobj.Stats.row_count c t.name = Some t.rows
+           && List.for_all
+                (fun (field, (a : Cobj.Stats.attr)) ->
+                  let want =
+                    match a.ndv with Some d when d > 0 -> Some d | _ -> None
+                  in
+                  Cobj.Stats.ndv c ~table:t.name ~field = want)
+                t.attrs)
+         s
+  in
+  let worker d () =
+    let failures = ref 0 in
+    let versions = Array.make 2 [] in
+    for i = 0 to 199 do
+      let k = (i + d) land 1 in
+      let c = catalogs.(k) in
+      if not (agrees c expected.(k)) then incr failures;
+      versions.(k) <- Cobj.Stats.version c :: versions.(k)
+    done;
+    (!failures, versions)
+  in
+  let results =
+    List.map Domain.join (List.init 4 (fun d -> Domain.spawn (worker d)))
+  in
+  Alcotest.(check int) "every answer equals a fresh scan" 0
+    (List.fold_left (fun n (f, _) -> n + f) 0 results);
+  let stamps k =
+    List.sort_uniq compare
+      (List.concat_map (fun (_, vs) -> vs.(k)) results)
+  in
+  Alcotest.(check (list int)) "xy keeps one stamp" [ Cobj.Stats.version xy ]
+    (stamps 0);
+  Alcotest.(check (list int)) "xyz keeps one stamp" [ Cobj.Stats.version xyz ]
+    (stamps 1);
+  Alcotest.(check bool) "the two stamps differ" true
+    (Cobj.Stats.version xy <> Cobj.Stats.version xyz)
+
 let test_strategy_cache_keying () =
   (* The plan key includes the strategy, so the same query text under the
      nest-join and shredding backends must occupy distinct slots — a hit
@@ -675,6 +745,10 @@ let suite =
       test_result_admission_policy;
     Alcotest.test_case "stats-version invalidation" `Quick
       test_stats_version_invalidation;
+    Alcotest.test_case "stats-version retention" `Quick
+      test_stats_version_retention;
+    Alcotest.test_case "stats cross-domain races" `Quick
+      test_stats_cross_domain;
     Alcotest.test_case "strategy-keyed plan cache" `Quick
       test_strategy_cache_keying;
     Alcotest.test_case "cache cross-domain races" `Quick
