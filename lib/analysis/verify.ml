@@ -652,11 +652,11 @@ let check_flat_physical ctx (pq : P.query) =
 (* Rule [vector-fragment]: the executor's {!Engine.Exec.vectorizable}
    classification must match this independent duplicate of the columnar
    engine's coverage — exactly the scan, filter, extend, project and
-   hash-join family operators; everything else falls back to the row
-   engine. A divergence means the fragment grew (or shrank) on one side
-   only: an operator claiming batch execution the engine cannot give it,
-   or silently losing vectorization without the differential oracle and
-   the fallback contract (docs/VECTORIZATION.md) being updated. *)
+   hash-join family operators; everything else runs row-at-a-time in
+   [exec_rows]. Each operator has exactly one executor arm, so a
+   divergence means the fragment grew (or shrank) on one side only and
+   the executor would reach an arm that does not exist
+   (docs/VECTORIZATION.md). *)
 let in_vector_fragment = function
   | P.Scan _ | P.Filter _ | P.Extend_op _ | P.Project_op _ | P.Hash_join _
   | P.Hash_semijoin _ | P.Hash_outerjoin _ | P.Hash_nestjoin _ ->
@@ -676,8 +676,8 @@ let check_vector_fragment ctx (pq : P.query) =
       viol ctx "vector-fragment"
         (fun () -> P.to_string plan)
         "executor %s this operator as vectorizable, but the fragment \
-         whitelist %s it — row-engine fallback operators must be exactly \
-         the non-vectorizable ones"
+         whitelist %s it — row-at-a-time operators must be exactly the \
+         non-vectorizable ones"
         (if claimed then "classifies" else "does not classify")
         (if expected then "includes" else "excludes");
     List.iter go (Engine.Analyze.children plan)

@@ -45,8 +45,8 @@
       per-partition filters ({b bloom-geometry});
     - columnar-engine coverage: {!Engine.Exec.vectorizable} must agree
       with an independent whitelist of the vector fragment (scan, filter,
-      extend, project, and the hash-join family), so the operators that
-      fall back to the row engine are exactly the non-vectorizable ones
+      extend, project, and the hash-join family), so the operators left
+      to the row-at-a-time executor are exactly the non-vectorizable ones
       ({b vector-fragment}).
 
     Violations are reported with the phase that produced the plan, the

@@ -356,7 +356,7 @@ let record_exec_metrics (s : Engine.Stats.t) =
     Obs.Metrics.observe "par.partition_max_rows"
       s.Engine.Stats.partition_max_rows
 
-let execute ?stats ?jobs ?bloom ?vector ?batch catalog compiled =
+let execute ?stats ?jobs ?bloom ?batch catalog compiled =
   let jobs = match jobs with Some j -> j | None -> default_jobs () in
   let stats =
     match stats with
@@ -369,9 +369,9 @@ let execute ?stats ?jobs ?bloom ?vector ?batch catalog compiled =
     phase "execute" (fun () ->
         match compiled.shredded, compiled.physical with
         | Some exe, _ ->
-          Shred.run ?stats ~jobs ?bloom ?vector ?batch catalog exe
+          Shred.run ?stats ~jobs ?bloom ?batch catalog exe
         | None, Some pq ->
-          Engine.Exec.run ?stats ~jobs ?bloom ?vector ?batch catalog pq
+          Engine.Exec.run ?stats ~jobs ?bloom ?batch catalog pq
         | None, None -> Lang.Interp.run catalog compiled.source)
   in
   (match stats with
@@ -380,12 +380,12 @@ let execute ?stats ?jobs ?bloom ?vector ?batch catalog compiled =
   v
 
 let run ?options ?rewrite ?reorder ?verify ?certify ?stats ?jobs ?bloom
-    ?vector ?batch strategy catalog src =
+    ?batch strategy catalog src =
   let* compiled =
     compile_string ?options ?rewrite ?reorder ?verify ?certify strategy
       catalog src
   in
-  match execute ?stats ?jobs ?bloom ?vector ?batch catalog compiled with
+  match execute ?stats ?jobs ?bloom ?batch catalog compiled with
   | v -> Ok v
   | exception Cobj.Value.Type_error msg -> Error ("runtime error: " ^ msg)
   | exception Lang.Interp.Undefined msg -> Error ("undefined: " ^ msg)
@@ -437,14 +437,14 @@ let bounds_violation tree =
   in
   walk tree
 
-let analyze ?jobs ?bloom ?vector ?batch catalog compiled =
+let analyze ?jobs ?bloom ?batch catalog compiled =
   match compiled.shredded, compiled.physical with
   | Some exe, _ -> (
     let jobs = match jobs with Some j -> j | None -> default_jobs () in
     let before = Obs.Memory.snapshot () in
     match
       phase "execute" (fun () ->
-          Shred.analyze ~jobs ?bloom ?vector ?batch catalog exe)
+          Shred.analyze ~jobs ?bloom ?batch catalog exe)
     with
     | v, tree ->
       tree.Engine.Stats.gc <-
@@ -473,7 +473,7 @@ let analyze ?jobs ?bloom ?vector ?batch catalog compiled =
     let before = Obs.Memory.snapshot () in
     match
       phase "execute" (fun () ->
-          Engine.Exec.rows_instrumented ~jobs ?bloom ?vector ?batch tree
+          Engine.Exec.rows_instrumented ~jobs ?bloom ?batch tree
             catalog Cobj.Env.empty pq.Engine.Physical.plan)
     with
     | produced ->

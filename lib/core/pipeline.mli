@@ -207,7 +207,6 @@ val execute :
   ?stats:Engine.Stats.t ->
   ?jobs:int ->
   ?bloom:bool ->
-  ?vector:bool ->
   ?batch:int ->
   Cobj.Catalog.t ->
   compiled ->
@@ -222,7 +221,6 @@ val run :
   ?stats:Engine.Stats.t ->
   ?jobs:int ->
   ?bloom:bool ->
-  ?vector:bool ->
   ?batch:int ->
   strategy ->
   Cobj.Catalog.t ->
@@ -233,11 +231,9 @@ val run :
     statistics are identical for every value, see {!Engine.Exec.rows}.
     [bloom] (default true) toggles Bloom-filter sideways information
     passing in the hash-join family; results are identical either way and
-    only the [bloom_*] counters differ. [vector] (default
-    {!Engine.Exec.default_vector}) and [batch] (default
-    {!Engine.Exec.default_batch}) control the columnar batch engine —
-    results and statistics are identical with the vector layer on or
-    off. *)
+    only the [bloom_*] counters differ. [batch] (default
+    {!Engine.Exec.default_batch}) is the columnar engine's batch width —
+    results and statistics are identical at every width. *)
 
 val explain : ?costs:bool -> Cobj.Catalog.t -> compiled -> string
 (** Logical and physical plans, pretty-printed. For a shredded query the
@@ -249,7 +245,6 @@ val explain : ?costs:bool -> Cobj.Catalog.t -> compiled -> string
 val analyze :
   ?jobs:int ->
   ?bloom:bool ->
-  ?vector:bool ->
   ?batch:int ->
   Cobj.Catalog.t ->
   compiled ->

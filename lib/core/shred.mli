@@ -75,13 +75,12 @@ val run_under :
   ?stats:Engine.Stats.t ->
   ?jobs:int ->
   ?bloom:bool ->
-  ?vector:bool ->
   ?batch:int ->
   Cobj.Catalog.t ->
   Cobj.Env.t ->
   executable ->
   Cobj.Value.t
-(** Execute every flat query ([jobs]/[bloom]/[vector]/[batch] apply to
+(** Execute every flat query ([jobs]/[bloom]/[batch] apply to
     each), stitch, and build the result set — the exact value
     [Exec.run_under] produces for the nest-join plan of the same query. *)
 
@@ -89,7 +88,6 @@ val run :
   ?stats:Engine.Stats.t ->
   ?jobs:int ->
   ?bloom:bool ->
-  ?vector:bool ->
   ?batch:int ->
   Cobj.Catalog.t ->
   executable ->
@@ -98,7 +96,6 @@ val run :
 val analyze :
   ?jobs:int ->
   ?bloom:bool ->
-  ?vector:bool ->
   ?batch:int ->
   Cobj.Catalog.t ->
   executable ->

@@ -63,8 +63,8 @@ let tail b = match b.data with Cols { tail; _ } -> tail | Rows _ -> Env.empty
 
 (* Materialize the environment for physical slot [i].  For [Cols] the
    columns are bound oldest-first so the newest column shadows both the
-   tail and older columns, exactly like the nested [Env.bind] calls the
-   row engine would have performed. *)
+   tail and older columns, exactly like nested [Env.bind] calls over
+   one row. *)
 let env_at b i =
   match b.data with
   | Rows rows -> rows.(i)

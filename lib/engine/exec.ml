@@ -225,19 +225,16 @@ let correlation_key_exprs corr query =
    instrumented runs give each operator its own [Stats.node], descending
    the annotation tree in lockstep with the plan ([Analyze.children]
    order). [jobs] is the partition-parallel width: 1 executes everything on
-   the calling domain, larger values let eligible operators fan their own
+   the calling domain, larger values let the hash-join family fan its
    per-row work out over a domain pool (operands are still produced
    serially, so child counters and timings are untouched). [bloom] enables
    sideways information passing in the hash-join family: build sides
    populate a Bloom filter consulted before each probe. Pruned probes still
    count in [hash_probes], so disabling bloom changes only the bloom
-   counters, never the rest of a Stats tree. *)
-(* [vector] flips the hot operators onto the columnar batch engine
-   ([exec_batches]); it is forced off when [Compile] is disabled, since
-   the kernels mirror the compiled closures, not the interpreter.
-   [batch] is the physical batch width. *)
+   counters, never the rest of a Stats tree. [batch] is the physical
+   batch width of the columnar engine. *)
 type frame = { sink : Stats.t; node : Stats.node option; jobs : int;
-               bloom : bool; vector : bool; batch : int }
+               bloom : bool; batch : int }
 
 let child_frame fr i =
   match fr.node with
@@ -255,10 +252,9 @@ let clock = Monotonic_clock.now
 
 let default_batch_size = 1024
 
-let default_vector () =
-  match Sys.getenv_opt "NESTQL_VECTOR" with
-  | Some ("0" | "false" | "no" | "off") -> false
-  | _ -> true
+(* Kept only because the benchmark header prints it; the columnar engine
+   is the sole executor of the vectorizable fragment. *)
+let default_vector () = true
 
 let default_batch () =
   match Sys.getenv_opt "NESTQL_BATCH" with
@@ -268,9 +264,9 @@ let default_batch () =
     | _ -> default_batch_size)
   | None -> default_batch_size
 
-(* The vectorizable fragment: operators [exec_batches] implements.
-   Everything else transparently falls back to the row engine, with
-   batches materialized at the boundary. *)
+(* The vectorizable fragment: operators [exec_batches] implements, and
+   the only executor they have. Everything else runs in [exec_rows],
+   with batches materialized at the boundary. *)
 let vectorizable = function
   | P.Scan _ | P.Filter _ | P.Extend_op _ | P.Project_op _ | P.Hash_join _
   | P.Hash_semijoin _ | P.Hash_outerjoin _ | P.Hash_nestjoin _ ->
@@ -285,7 +281,7 @@ let note_fallback () =
 
 (* Evaluate a key expression over a batch: kernel when possible, row
    closure otherwise.  A kernel that raises is discarded before any
-   probe ran, so replaying row-at-a-time reproduces the row engine's
+   probe ran, so replaying row-at-a-time reproduces the per-row
    counters and first error exactly. *)
 let key_col kern b =
   match kern with
@@ -307,55 +303,15 @@ let key_at keyv keyfn b i =
    private [Stats.t], merged into the operator's own sink in deterministic
    partition order afterwards, so instrumented trees and global totals are
    identical to a serial run. Output comes back in serial row order:
-   morsels are index ranges and hash partitions scatter per-left-row
-   results into a dense array indexed by the left row's input position.
+   hash partitions scatter per-left-row results into a dense array
+   indexed by the left row's input position.
    Operands are always produced serially before a region starts, and
    worker bodies never re-enter the executor, so regions never nest. *)
 
-let morsel_min = 16 (* fewer input rows than this: scheduling isn't worth it *)
 let join_min = 2 (* partitioned joins parallelize from this many left rows *)
 
 let merge_parts stats parts =
   Array.iter (fun p -> Stats.add ~into:stats p) parts
-
-(* Order-preserving parallel map over index-range morsels. [f] receives the
-   morsel's private counter sink. *)
-let par_map ~jobs ~stats f rows =
-  let arr = Array.of_list rows in
-  let n = Array.length arr in
-  let k = min (jobs * 4) n in
-  let out = Array.make k [] in
-  let parts = Array.init k (fun _ -> Stats.create ()) in
-  Pool.run ~jobs k (fun c ->
-      let lo = c * n / k and hi = (c + 1) * n / k in
-      let st = parts.(c) in
-      let acc = ref [] in
-      for i = hi - 1 downto lo do
-        acc := f st arr.(i) :: !acc
-      done;
-      out.(c) <- !acc);
-  merge_parts stats parts;
-  List.concat (Array.to_list out)
-
-(* Order-preserving parallel filter. *)
-let par_filter ~jobs ~stats pred rows =
-  let arr = Array.of_list rows in
-  let n = Array.length arr in
-  let keep = Array.make n false in
-  let k = min (jobs * 4) n in
-  let parts = Array.init k (fun _ -> Stats.create ()) in
-  Pool.run ~jobs k (fun c ->
-      let lo = c * n / k and hi = (c + 1) * n / k in
-      let st = parts.(c) in
-      for i = lo to hi - 1 do
-        keep.(i) <- pred st arr.(i)
-      done);
-  merge_parts stats parts;
-  let out = ref [] in
-  for i = n - 1 downto 0 do
-    if keep.(i) then out := arr.(i) :: !out
-  done;
-  !out
 
 (* Residual compiled once per operator; evaluation counts into the
    partition's sink (the parallel counterpart of [compile_residual]). *)
@@ -480,61 +436,49 @@ let par_hash_partitioned ~jobs ~bloom ~stats ~lkeyfn ~rkeyfn ~emit lrows rrows
   merge_parts stats pparts;
   List.concat (Array.to_list out)
 
+(* Run one operator, charging its wall-clock and loop count to its
+   annotation node when instrumenting. [live] counts the output rows for
+   the trace span. *)
+let timed fr ~vectorized ~live exec =
+  match fr.node with
+  | None -> exec ()
+  | Some n ->
+    let t0 = clock () in
+    let out = exec () in
+    let t1 = clock () in
+    n.Stats.time_ns <- Int64.add n.Stats.time_ns (Int64.sub t1 t0);
+    n.Stats.loops <- n.Stats.loops + 1;
+    if vectorized then n.Stats.vectorized <- true;
+    (* Instrumented operators double as trace spans — same clock readings,
+       so the timeline agrees with EXPLAIN ANALYZE to the nanosecond. *)
+    if Obs.Trace.enabled () then
+      Obs.Trace.complete ~cat:"operator" ~start_ns:t0 ~stop_ns:t1
+        ~args:(fun () ->
+          [
+            ("detail", Obs.Trace.Str n.Stats.detail);
+            ("rows_out", Obs.Trace.Int (live out));
+            ("loop", Obs.Trace.Int n.Stats.loops);
+            ("est_rows", Obs.Trace.Num n.Stats.est_rows);
+          ])
+        n.Stats.op;
+    out
+
 let rec rows_fr fr catalog env plan =
-  if fr.vector && vectorizable plan then
+  if vectorizable plan then
     (* The vectorized operator already timed and traced itself inside
        [batches_fr]; materialization at the boundary is not charged. *)
     Batch.rows_of_batches (batches_fr fr catalog env plan)
   else
-    match fr.node with
-    | None -> exec_rows fr catalog env plan
-    | Some n ->
-      let t0 = clock () in
-      let out = exec_rows fr catalog env plan in
-      let t1 = clock () in
-      n.Stats.time_ns <- Int64.add n.Stats.time_ns (Int64.sub t1 t0);
-      n.Stats.loops <- n.Stats.loops + 1;
-      (* Instrumented operators double as trace spans — same clock readings,
-         so the timeline agrees with EXPLAIN ANALYZE to the nanosecond. *)
-      if Obs.Trace.enabled () then
-        Obs.Trace.complete ~cat:"operator" ~start_ns:t0 ~stop_ns:t1
-          ~args:(fun () ->
-            [
-              ("detail", Obs.Trace.Str n.Stats.detail);
-              ("rows_out", Obs.Trace.Int (List.length out));
-              ("loop", Obs.Trace.Int n.Stats.loops);
-              ("est_rows", Obs.Trace.Num n.Stats.est_rows);
-            ])
-          n.Stats.op;
-      out
+    timed fr ~vectorized:false ~live:List.length (fun () ->
+        exec_rows fr catalog env plan)
 
 (* Batch-flow entry: vectorizable operators produce batches natively;
-   anything else runs on the row engine and is chunked at the boundary.
-   Timing, loop counts and trace spans attach here for vectorized
-   operators, symmetrically with [rows_fr] for row operators. *)
+   anything else runs in [exec_rows] and is chunked at the boundary. *)
 and batches_fr fr catalog env plan =
-  if fr.vector && vectorizable plan then begin
+  if vectorizable plan then begin
     let out =
-      match fr.node with
-      | None -> exec_batches fr catalog env plan
-      | Some n ->
-        let t0 = clock () in
-        let out = exec_batches fr catalog env plan in
-        let t1 = clock () in
-        n.Stats.time_ns <- Int64.add n.Stats.time_ns (Int64.sub t1 t0);
-        n.Stats.loops <- n.Stats.loops + 1;
-        n.Stats.vectorized <- true;
-        if Obs.Trace.enabled () then
-          Obs.Trace.complete ~cat:"operator" ~start_ns:t0 ~stop_ns:t1
-            ~args:(fun () ->
-              [
-                ("detail", Obs.Trace.Str n.Stats.detail);
-                ("rows_out", Obs.Trace.Int (Batch.live_total out));
-                ("loop", Obs.Trace.Int n.Stats.loops);
-                ("est_rows", Obs.Trace.Num n.Stats.est_rows);
-              ])
-            n.Stats.op;
-        out
+      timed fr ~vectorized:true ~live:Batch.live_total (fun () ->
+          exec_batches fr catalog env plan)
     in
     if Obs.Metrics.enabled () then begin
       Obs.Metrics.incr ~by:(List.length out) "exec.batch.batches";
@@ -544,12 +488,13 @@ and batches_fr fr catalog env plan =
   end
   else Batch.of_rows ~size:fr.batch (rows_fr fr catalog env plan)
 
-(* The columnar engine proper.  Contract with the row engine: for every
-   operator below, the produced rows (in order) and every [Stats]
-   counter are identical to [exec_rows] at any [jobs] — the qcheck
-   differential oracle in [test_batch] enforces this.  Expression
-   kernels that miss or raise fall back to the row-compiled closures,
-   replayed in row order. *)
+(* The columnar engine proper, sole executor of the vectorizable
+   fragment.  For every operator below, the produced rows (in order)
+   and every [Stats] counter are the same at any [jobs] and any batch
+   width — the qcheck oracle in [test_batch] enforces this, and checks
+   values against the reference interpreter.  Expression kernels that
+   miss or raise fall back to the row-compiled closures, replayed in
+   row order. *)
 and exec_batches fr catalog env plan =
   let stats = fr.sink in
   let out, nout =
@@ -634,12 +579,18 @@ and exec_batches fr catalog env plan =
       let lb = batches_fr (c0 fr) catalog env left in
       let rb = batches_fr (c1 fr) catalog env right in
       let nl = Batch.live_total lb and nr = Batch.live_total rb in
+      (* The join is commutative, so build on whichever operand turned out
+         smaller (the planner orients statically from estimates; this is
+         the runtime safety net). The decision uses full cardinalities, so
+         counters stay jobs-invariant; only row order can change. *)
       let swap = nr > nl in
       if swap then
         stats.Stats.build_side_swaps <- stats.Stats.build_side_swaps + 1;
       let probe_b, build_b, probe_key, build_key =
         if swap then (rb, lb, rkey, lkey) else (lb, rb, lkey, rkey)
       in
+      (* [p] is the probe row, [m] the build-side match; the merged env is
+         always append(right-row, left-row), independent of orientation. *)
       let merged_of p m = if swap then Env.append p m else Env.append m p in
       let pkeyfn = Compile.expr catalog probe_key in
       let nprobe = if swap then nr else nl in
@@ -887,26 +838,6 @@ and exec_rows fr catalog env plan =
   let out =
     match plan with
     | P.Unit_row -> [ env ]
-    | P.Scan { table; var } ->
-      let t = Cobj.Catalog.find_exn table catalog in
-      let trows = Cobj.Table.rows t in
-      if fr.jobs > 1 && List.length trows >= morsel_min then
-        par_map ~jobs:fr.jobs ~stats (fun _st v -> Env.bind var v env) trows
-      else List.map (fun v -> Env.bind var v env) trows
-    | P.Filter { pred; input } ->
-      let predfn = Compile.pred catalog pred in
-      let input_rows = rows_fr (c0 fr) catalog env input in
-      if fr.jobs > 1 && List.length input_rows >= morsel_min then
-        par_filter ~jobs:fr.jobs ~stats
-          (fun st r ->
-            st.Stats.predicate_evals <- st.Stats.predicate_evals + 1;
-            predfn r)
-          input_rows
-      else
-        input_rows
-        |> List.filter (fun r ->
-               stats.Stats.predicate_evals <- stats.Stats.predicate_evals + 1;
-               predfn r)
     | P.Nl_join { pred; left; right } ->
       let predfn = Compile.pred catalog pred in
       let rrows = rows_fr (c1 fr) catalog env right in
@@ -919,50 +850,6 @@ and exec_rows fr catalog env plan =
                  let merged = Env.append r l in
                  if predfn merged then Some merged else None)
                rrows)
-    | P.Hash_join { lkey; rkey; residual; left; right } ->
-      let lrows = rows_fr (c0 fr) catalog env left in
-      let rrows = rows_fr (c1 fr) catalog env right in
-      (* The join is commutative, so build on whichever operand turned out
-         smaller (the planner orients statically from estimates; this is
-         the runtime safety net). The decision uses full materialized
-         cardinalities — identical in the serial and parallel paths, so
-         counters stay jobs-invariant. Only row order can change, and the
-         final result is a canonicalized set. *)
-      let swap = List.length rrows > List.length lrows in
-      if swap then
-        stats.Stats.build_side_swaps <- stats.Stats.build_side_swaps + 1;
-      let probe_rows, build_rows, probe_key, build_key =
-        if swap then (rrows, lrows, rkey, lkey) else (lrows, rrows, lkey, rkey)
-      in
-      (* [p] is the probe row, [m] the build-side match; the merged env is
-         always append(right-row, left-row), independent of orientation. *)
-      let merged_of p m = if swap then Env.append p m else Env.append m p in
-      let pkeyfn = Compile.expr catalog probe_key in
-      if fr.jobs > 1 && List.length probe_rows >= join_min then
-        let bkeyfn = Compile.expr catalog build_key in
-        let rokfn = residual_fn catalog residual in
-        par_hash_partitioned ~jobs:fr.jobs ~bloom:fr.bloom ~stats
-          ~lkeyfn:pkeyfn ~rkeyfn:bkeyfn
-          ~emit:(fun st p matches ->
-            List.filter_map
-              (fun m ->
-                let merged = merged_of p m in
-                if rok_part st rokfn merged then Some merged else None)
-              matches)
-          probe_rows build_rows
-      else
-        let rok = compile_residual ~stats catalog residual in
-        let table =
-          build_rows_table ~stats ~bloom:fr.bloom
-            (Compile.expr catalog build_key)
-            build_rows
-        in
-        probe_rows
-        |> List.concat_map (fun p ->
-               probe ~stats table (hkey (pkeyfn p))
-               |> List.filter_map (fun m ->
-                      let merged = merged_of p m in
-                      if rok merged then Some merged else None))
     | P.Merge_join { lkey; rkey; residual; left; right } ->
       let rok = compile_residual ~stats catalog residual in
       let lgroups = sorted_groups ~stats (c0 fr) catalog env left lkey in
@@ -991,33 +878,6 @@ and exec_rows fr catalog env plan =
                  rrows
              in
              if anti then not found else found)
-    | P.Hash_semijoin { lkey; rkey; residual; anti; left; right } ->
-      let lkeyfn = Compile.expr catalog lkey in
-      let lrows = rows_fr (c0 fr) catalog env left in
-      if fr.jobs > 1 && List.length lrows >= join_min then
-        par_hash_partitioned ~jobs:fr.jobs ~bloom:fr.bloom ~stats ~lkeyfn
-          ~rkeyfn:(Compile.expr catalog rkey)
-          ~emit:
-            (let rokfn = residual_fn catalog residual in
-             fun st l matches ->
-               let found =
-                 List.exists
-                   (fun r -> rok_part st rokfn (Env.append r l))
-                   matches
-               in
-               if (if anti then not found else found) then [ l ] else [])
-          lrows
-          (rows_fr (c1 fr) catalog env right)
-      else
-        let rok = compile_residual ~stats catalog residual in
-        let table = build ~stats ~bloom:fr.bloom (c1 fr) catalog env right rkey in
-        lrows
-        |> List.filter (fun l ->
-               let found =
-                 probe ~stats table (hkey (lkeyfn l))
-                 |> List.exists (fun r -> rok (Env.append r l))
-               in
-               if anti then not found else found)
     | P.Merge_semijoin { lkey; rkey; residual; anti; left; right } ->
       let rok = compile_residual ~stats catalog residual in
       let lgroups = sorted_groups ~stats (c0 fr) catalog env left lkey in
@@ -1062,42 +922,6 @@ and exec_rows fr catalog env plan =
                  rrows
              in
              match matches with [] -> [ pad_nulls rvars l ] | _ :: _ -> matches)
-    | P.Hash_outerjoin { lkey; rkey; residual; left; right } ->
-      let lkeyfn = Compile.expr catalog lkey in
-      let rvars = P.vars_of right in
-      let lrows = rows_fr (c0 fr) catalog env left in
-      if fr.jobs > 1 && List.length lrows >= join_min then
-        par_hash_partitioned ~jobs:fr.jobs ~bloom:fr.bloom ~stats ~lkeyfn
-          ~rkeyfn:(Compile.expr catalog rkey)
-          ~emit:
-            (let rokfn = residual_fn catalog residual in
-             fun st l matches ->
-               let kept =
-                 List.filter_map
-                   (fun r ->
-                     let merged = Env.append r l in
-                     if rok_part st rokfn merged then Some merged else None)
-                   matches
-               in
-               match kept with
-               | [] -> [ pad_nulls rvars l ]
-               | _ :: _ -> kept)
-          lrows
-          (rows_fr (c1 fr) catalog env right)
-      else
-        let rok = compile_residual ~stats catalog residual in
-        let table = build ~stats ~bloom:fr.bloom (c1 fr) catalog env right rkey in
-        lrows
-        |> List.concat_map (fun l ->
-               let matches =
-                 probe ~stats table (hkey (lkeyfn l))
-                 |> List.filter_map (fun r ->
-                        let merged = Env.append r l in
-                        if rok merged then Some merged else None)
-               in
-               match matches with
-               | [] -> [ pad_nulls rvars l ]
-               | _ :: _ -> matches)
     | P.Merge_outerjoin { lkey; rkey; residual; left; right } ->
       let rok = compile_residual ~stats catalog residual in
       let rvars = P.vars_of right in
@@ -1151,39 +975,6 @@ and exec_rows fr catalog env plan =
                  rrows
              in
              Env.bind label (Value.set members) l)
-    | P.Hash_nestjoin { lkey; rkey; residual; func; label; left; right } ->
-      let lkeyfn = Compile.expr catalog lkey in
-      let funcfn = Compile.expr catalog func in
-      let lrows = rows_fr (c0 fr) catalog env left in
-      if fr.jobs > 1 && List.length lrows >= join_min then
-        par_hash_partitioned ~jobs:fr.jobs ~bloom:fr.bloom ~stats ~lkeyfn
-          ~rkeyfn:(Compile.expr catalog rkey)
-          ~emit:
-            (let rokfn = residual_fn catalog residual in
-             fun st l matches ->
-               let members =
-                 List.filter_map
-                   (fun r ->
-                     let merged = Env.append r l in
-                     if rok_part st rokfn merged then Some (funcfn merged)
-                     else None)
-                   matches
-               in
-               [ Env.bind label (Value.set members) l ])
-          lrows
-          (rows_fr (c1 fr) catalog env right)
-      else
-        let rok = compile_residual ~stats catalog residual in
-        let table = build ~stats ~bloom:fr.bloom (c1 fr) catalog env right rkey in
-        lrows
-        |> List.map (fun l ->
-               let members =
-                 probe ~stats table (hkey (lkeyfn l))
-                 |> List.filter_map (fun r ->
-                        let merged = Env.append r l in
-                        if rok merged then Some (funcfn merged) else None)
-               in
-               Env.bind label (Value.set members) l)
     | P.Hash_nestjoin_left { lkey; rkey; residual; func; label; left; right }
       ->
       (* Streaming right against a left build table: emits a group as soon
@@ -1320,22 +1111,6 @@ and exec_rows fr catalog env plan =
           in
           Env.bind label set base)
         !order
-    | P.Extend_op { var; expr; input } ->
-      let exprfn = Compile.expr catalog expr in
-      let input_rows = rows_fr (c0 fr) catalog env input in
-      if fr.jobs > 1 && List.length input_rows >= morsel_min then
-        par_map ~jobs:fr.jobs ~stats
-          (fun _st r -> Env.bind var (exprfn r) r)
-          input_rows
-      else List.map (fun r -> Env.bind var (exprfn r) r) input_rows
-    | P.Project_op { vars; input } ->
-      let input_rows = rows_fr (c0 fr) catalog env input in
-      (if fr.jobs > 1 && List.length input_rows >= morsel_min then
-         par_map ~jobs:fr.jobs ~stats
-           (fun _st r -> Env.append (Env.project vars r) env)
-           input_rows
-       else List.map (fun r -> Env.append (Env.project vars r) env) input_rows)
-      |> List.sort_uniq Env.compare
     | P.Apply_op { var; subquery; memo; input } ->
       let input_rows = rows_fr (c0 fr) catalog env input in
       (* A correlated subplan re-runs inside the apply loop with per-row
@@ -1419,6 +1194,10 @@ and exec_rows fr catalog env plan =
     | P.Union_op { left; right } ->
       List.sort_uniq Env.compare
         (rows_fr (c0 fr) catalog env left @ rows_fr (c1 fr) catalog env right)
+    | P.Scan _ | P.Filter _ | P.Extend_op _ | P.Project_op _ | P.Hash_join _
+    | P.Hash_semijoin _ | P.Hash_outerjoin _ | P.Hash_nestjoin _ ->
+      (* [rows_fr] routes the vectorizable fragment to [exec_batches]. *)
+      assert false
   in
   stats.Stats.rows_out <- stats.Stats.rows_out + List.length out;
   out
@@ -1511,48 +1290,33 @@ and run_under_fr fr catalog env { P.plan; result } =
 
 let clamp_jobs jobs = max 1 (min jobs Pool.max_jobs)
 
-(* The kernels mirror [Compile]'s semantics; when compilation is
-   globally disabled (interpreted mode) the vector layer shuts off with
-   it rather than diverge. *)
-let opts ~vector ~batch =
-  let vector = Option.value vector ~default:(default_vector ()) in
-  let batch = Option.value batch ~default:(default_batch ()) in
-  (vector && !Compile.enabled, max 1 batch)
+let frame_of_stats ~jobs ~bloom ~batch stats =
+  { sink = stats; node = None; jobs = clamp_jobs jobs; bloom;
+    batch = max 1 (Option.value batch ~default:(default_batch ())) }
 
-let frame_of_stats ~jobs ~bloom ~vector ~batch stats =
-  { sink = stats; node = None; jobs; bloom; vector; batch }
+let frame_of_node ~jobs ~bloom ~batch node =
+  { (frame_of_stats ~jobs ~bloom ~batch node.Stats.counters) with
+    node = Some node }
 
-let frame_of_node ~jobs ~bloom ~vector ~batch node =
-  { sink = node.Stats.counters; node = Some node; jobs; bloom; vector; batch }
+let rows ?(stats = no_stats) ?(jobs = 1) ?(bloom = true) ?batch catalog env
+    plan =
+  rows_fr (frame_of_stats ~jobs ~bloom ~batch stats) catalog env plan
 
-let rows ?(stats = no_stats) ?(jobs = 1) ?(bloom = true) ?vector ?batch
-    catalog env plan =
-  let vector, batch = opts ~vector ~batch in
-  rows_fr
-    (frame_of_stats ~jobs:(clamp_jobs jobs) ~bloom ~vector ~batch stats)
-    catalog env plan
-
-let rows_instrumented ?(jobs = 1) ?(bloom = true) ?vector ?batch node catalog
-    env plan =
-  let vector, batch = opts ~vector ~batch in
-  rows_fr
-    (frame_of_node ~jobs:(clamp_jobs jobs) ~bloom ~vector ~batch node)
-    catalog env plan
-
-let run_under ?(stats = no_stats) ?(jobs = 1) ?(bloom = true) ?vector ?batch
-    catalog env query =
-  let vector, batch = opts ~vector ~batch in
-  run_under_fr
-    (frame_of_stats ~jobs:(clamp_jobs jobs) ~bloom ~vector ~batch stats)
-    catalog env query
-
-let run ?stats ?jobs ?bloom ?vector ?batch catalog query =
-  run_under ?stats ?jobs ?bloom ?vector ?batch catalog Env.empty query
-
-let run_instrumented ?(jobs = 1) ?(bloom = true) ?vector ?batch catalog query
+let rows_instrumented ?(jobs = 1) ?(bloom = true) ?batch node catalog env plan
     =
-  let vector, batch = opts ~vector ~batch in
+  rows_fr (frame_of_node ~jobs ~bloom ~batch node) catalog env plan
+
+let run_under ?(stats = no_stats) ?(jobs = 1) ?(bloom = true) ?batch catalog
+    env query =
+  run_under_fr (frame_of_stats ~jobs ~bloom ~batch stats) catalog env query
+
+let run ?stats ?jobs ?bloom ?batch catalog query =
+  run_under ?stats ?jobs ?bloom ?batch catalog Env.empty query
+
+let run_instrumented ?(jobs = 1) ?(bloom = true) ?batch catalog query =
   let tree = Analyze.tree_of_query query in
-  let fr = frame_of_node ~jobs:(clamp_jobs jobs) ~bloom ~vector ~batch tree in
-  let v = run_under_fr fr catalog Env.empty query in
+  let v =
+    run_under_fr (frame_of_node ~jobs ~bloom ~batch tree) catalog Env.empty
+      query
+  in
   (v, tree)

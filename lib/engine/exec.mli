@@ -16,7 +16,6 @@ val rows :
   ?stats:Stats.t ->
   ?jobs:int ->
   ?bloom:bool ->
-  ?vector:bool ->
   ?batch:int ->
   Cobj.Catalog.t ->
   Cobj.Env.t ->
@@ -26,15 +25,15 @@ val rows :
     in implementation order (not canonicalized).
 
     [jobs] (default 1) is the partition-parallel width. With [jobs > 1],
-    morsel-eligible operators (scan, filter, extend, project) fan per-row
-    work over a domain pool and the hash-based joins (join, semijoin,
-    antijoin, outerjoin, nest join) hash-partition both operands on the
-    join key and run per-partition joins on worker domains. Results come
-    back in serial row order and every counter lands on the same operator
-    it would serially, so output and statistics are identical for every
-    [jobs] value. Correlated apply subplans always execute serially inside
-    their apply loop (classified with {!query_free_vars}); values above
-    [Pool.max_jobs] are clamped.
+    the hash-based joins (join, semijoin, antijoin, outerjoin, nest join)
+    hash-partition both operands on the join key and run per-partition
+    joins on worker domains; every other operator (scans, filters,
+    extends and projections included) runs serially. Results come back
+    in serial row order and every counter lands on the same operator it
+    would serially, so output and statistics are identical for every
+    [jobs] value. Correlated apply subplans always execute serially
+    inside their apply loop (classified with {!query_free_vars}); values
+    above [Pool.max_jobs] are clamped.
 
     [bloom] (default true) enables sideways information passing in the
     hash-join family: every build side populates a blocked Bloom filter on
@@ -50,17 +49,14 @@ val rows :
     operators — semijoin, antijoin, outerjoin, nest join — never swap (§7:
     their left operand is preserved and must stay on the probe side).
 
-    [vector] (default {!default_vector}, i.e. on unless [NESTQL_VECTOR]
-    disables it) runs the {!vectorizable} operators on the columnar
-    batch engine: scans emit typed column batches, filters narrow
+    The {!vectorizable} operators run on the columnar batch engine, their
+    only executor: scans emit typed column batches, filters narrow
     selection vectors, and the hash-join family probes per batch with
-    late materialization. Operators outside the fragment transparently
-    execute on the row engine with batches (re)built at the boundary.
-    Results, row order and every [Stats] counter are identical to the
-    row engine at any [jobs] — the vector layer is a pure constant-
-    factor optimization, enforced by the differential oracle in
-    [test_batch]. Forced off when [Compile.enabled] is false (the
-    kernels mirror the compiled closures, not the interpreter).
+    late materialization. Operators outside the fragment run row-at-a-time
+    over environments, with batches (re)built at the boundary. Results,
+    row order and every [Stats] counter are the same at every batch
+    width. When [Compile.enabled] is false, every expression goes
+    through the interpreter instead of a kernel.
 
     [batch] (default {!default_batch}, i.e. [NESTQL_BATCH] or 1024) is
     the physical batch width; values below 1 are clamped to 1. *)
@@ -68,7 +64,6 @@ val rows :
 val rows_instrumented :
   ?jobs:int ->
   ?bloom:bool ->
-  ?vector:bool ->
   ?batch:int ->
   Stats.node ->
   Cobj.Catalog.t ->
@@ -86,7 +81,6 @@ val rows_instrumented :
 val run_instrumented :
   ?jobs:int ->
   ?bloom:bool ->
-  ?vector:bool ->
   ?batch:int ->
   Cobj.Catalog.t ->
   Physical.query ->
@@ -99,7 +93,6 @@ val run :
   ?stats:Stats.t ->
   ?jobs:int ->
   ?bloom:bool ->
-  ?vector:bool ->
   ?batch:int ->
   Cobj.Catalog.t ->
   Physical.query ->
@@ -110,7 +103,6 @@ val run_under :
   ?stats:Stats.t ->
   ?jobs:int ->
   ?bloom:bool ->
-  ?vector:bool ->
   ?batch:int ->
   Cobj.Catalog.t ->
   Cobj.Env.t ->
@@ -123,13 +115,13 @@ val query_free_vars : Physical.query -> Lang.Ast.String_set.t
 
 val vectorizable : Physical.t -> bool
 (** Whether the operator (shallowly — operands not considered) runs on
-    the columnar batch engine when the vector layer is enabled. The
-    verifier's [vector-fragment] rule cross-checks this against an
-    independent list. *)
+    the columnar batch engine. The verifier's [vector-fragment] rule
+    cross-checks this against an independent list. *)
 
 val default_vector : unit -> bool
-(** Vector layer default: on, unless [NESTQL_VECTOR] is set to [0],
-    [false], [no] or [off]. *)
+(** Always [true]: the batch engine is the only executor of the
+    {!vectorizable} fragment. Kept for the benchmark header, which
+    prints it. *)
 
 val default_batch : unit -> int
 (** Batch width default: [NESTQL_BATCH] when it parses as a positive

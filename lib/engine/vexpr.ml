@@ -10,13 +10,13 @@
    corresponding [Compile] closure would.  Evaluation *order* across
    rows may differ (all of [a] before any of [b] in [a AND b]), so a
    kernel raising is not itself observable: callers catch and replay
-   the batch row-at-a-time, which reproduces the row engine's first
+   the batch row-at-a-time, which reproduces the per-row closures' first
    error and counter state bit-for-bit.  Kernels therefore only need
    value-exactness on success.
 
    Conjunctions and disjunctions evaluate their second operand only on
    the selection where the first did not decide the result, mirroring
-   the row engine's short-circuit on a per-batch selection vector. *)
+   the per-row closures' short-circuit on a per-batch selection vector. *)
 
 module Value = Cobj.Value
 module Env = Cobj.Env
@@ -156,7 +156,7 @@ let neg_kernel ka : kernel =
       Batch.Boxed out
 
 (* [a AND b]: evaluate [b] only where [a] held; [a OR b]: only where it
-   did not.  The evaluation set matches the row engine exactly. *)
+   did not.  The evaluation set matches per-row evaluation exactly. *)
 let and_kernel ka kb : kernel =
  fun b ->
   let ba = bool_bytes b (ka b) in
@@ -284,7 +284,7 @@ let batch_memo (k : kernel) : kernel =
         cache := Some (b, c);
         c
 
-let compile catalog (e : Ast.expr) : kernel option =
+let compile_kernel catalog (e : Ast.expr) : kernel option =
   let shared : (Ast.expr, kernel) Hashtbl.t = Hashtbl.create 8 in
   let rec compile (e : Ast.expr) : kernel option =
     match e with
@@ -335,6 +335,12 @@ let compile catalog (e : Ast.expr) : kernel option =
     | _ -> None
   in
   compile e
+
+(* Interpreted mode stays interpreted: no expression gets a kernel, so
+   every caller falls back to the [Compile] closure, which defers to
+   [Lang.Interp]. *)
+let compile catalog e =
+  if !Compile.enabled then compile_kernel catalog e else None
 
 (* Predicate form: live indices satisfying [k], ascending.  [as_bool]
    is applied per live row, as [Compile.pred] would. *)

@@ -7,10 +7,11 @@
      environments — on the edge cases (empty batch, all-selected,
      singleton, rows straddling a batch boundary);
    - the differential oracle: for random nested queries over the mixed
-     and the all-dangling catalogs, the vector engine must produce the
-     same value AND the same Engine.Stats work profile as the row engine,
-     serially and at 4 domains. The vector layer is a pure constant-
-     factor optimization; any observable difference is a bug. *)
+     and the all-dangling catalogs, the engine must produce the
+     interpreter's value (or fail where it fails), and the same
+     Engine.Stats work profile at every batch width and at 4 domains as
+     serially at the default width. Width and domain count are physical
+     layout only; any observable difference is a bug. *)
 
 open Helpers
 module Batch = Engine.Batch
@@ -75,10 +76,39 @@ let test_late_materialization () =
 
 (* --- executor edge cases -------------------------------------------------- *)
 
-(* Compare the vector engine against the row engine on one query at
-   several batch widths: identical value and identical full Stats
-   (partition counters included — same jobs on both sides). *)
-let differential ?(jobs = 1) ?(batches = [ 1; 2; 3; 64 ]) catalog src =
+(* The partition counters are the only jobs-dependent part of a Stats
+   record. *)
+let jobs_invariant s = { s with Stats.partitions = 0; partition_max_rows = 0 }
+
+type outcome = (Value.t, string) result
+
+let run_engine ?(jobs = 1) ?(batch = 1024) catalog pq : outcome * Stats.t =
+  let stats = Stats.create () in
+  let outcome =
+    match Exec.run_under ~stats ~jobs ~batch catalog Env.empty pq with
+    | v -> Ok v
+    | exception Cobj.Value.Type_error m -> Error ("type: " ^ m)
+    | exception Lang.Interp.Undefined m -> Error ("undefined: " ^ m)
+  in
+  (outcome, stats)
+
+(* Equal values, or both sides fail. *)
+let agrees_with_interp catalog src (outcome : outcome) =
+  match (Core.Pipeline.run Core.Pipeline.Interp catalog src, outcome) with
+  | Ok a, Ok b -> Value.equal a b
+  | Error _, Error _ -> true
+  | _ -> false
+
+let same_outcome (a : outcome) (b : outcome) =
+  match (a, b) with
+  | Ok a, Ok b -> Value.equal a b
+  | Error a, Error b -> String.equal a b
+  | _ -> false
+
+(* Check one query: the serial run at the default width must match the
+   interpreter's value, and every other batch width, serially and at 4
+   domains, must reproduce that run's value and jobs-invariant Stats. *)
+let differential catalog src =
   match
     Core.Pipeline.compile_string Core.Pipeline.Decorrelated catalog src
   with
@@ -86,53 +116,95 @@ let differential ?(jobs = 1) ?(batches = [ 1; 2; 3; 64 ]) catalog src =
   | Ok { Core.Pipeline.physical = None; _ } ->
     Alcotest.failf "no physical plan for %s" src
   | Ok { Core.Pipeline.physical = Some pq; _ } ->
-    let run ~vector ~batch =
-      let stats = Stats.create () in
-      let v = Exec.run_under ~stats ~jobs ~vector ~batch catalog Env.empty pq in
-      (v, stats)
-    in
-    let vref, sref = run ~vector:false ~batch:1024 in
+    let vref, sref = run_engine catalog pq in
+    Alcotest.(check bool)
+      (Printf.sprintf "value agrees with the interpreter on %s" src)
+      true
+      (agrees_with_interp catalog src vref);
     List.iter
-      (fun batch ->
-        let v, s = run ~vector:true ~batch in
-        Alcotest.check value
-          (Printf.sprintf "value (batch=%d) on %s" batch src)
-          vref v;
-        Alcotest.(check bool)
-          (Printf.sprintf "stats (batch=%d) on %s" batch src)
-          true (s = sref))
-      batches
+      (fun jobs ->
+        List.iter
+          (fun batch ->
+            let v, s = run_engine ~jobs ~batch catalog pq in
+            Alcotest.(check bool)
+              (Printf.sprintf "value (jobs=%d, batch=%d) on %s" jobs batch src)
+              true (same_outcome vref v);
+            Alcotest.(check bool)
+              (Printf.sprintf "stats (jobs=%d, batch=%d) on %s" jobs batch src)
+              true
+              (jobs_invariant s = jobs_invariant sref))
+          [ 1; 2; 3; 64 ])
+      [ 1; 4 ]
+
+let filter_edge_queries =
+  [
+    (* all five X rows pass: every batch fully selected *)
+    "SELECT x.a FROM X x WHERE x.a >= 0";
+    (* none pass: every batch narrows to empty and is dropped *)
+    "SELECT x.a FROM X x WHERE x.a > 100";
+    (* exactly one passes (the dangling b = 5 row): singleton selection *)
+    "SELECT x.a FROM X x WHERE x.b = 5";
+    (* a predicate whose matching rows straddle the batch-2 boundary *)
+    "SELECT x.b FROM X x WHERE x.a = 2";
+  ]
+
+let join_edge_queries =
+  [
+    "SELECT x.a FROM X x WHERE x.a IN (SELECT y.c FROM Y y WHERE y.d = x.b)";
+    "SELECT (a = x.a, cs = (SELECT y.c FROM Y y WHERE y.d = x.b)) FROM X x";
+    "SELECT x.a FROM X x WHERE COUNT(SELECT y.c FROM Y y WHERE y.d = x.b) = 0";
+    (* arithmetic + comparison kernels in the extend/filter fragment *)
+    "SELECT x.a + x.b FROM X x WHERE x.a * 2 < x.b + 10 AND x.a MOD 2 = 0";
+  ]
 
 let test_filter_edges () =
   let catalog = xy_catalog () in
-  (* all five X rows pass: every batch fully selected *)
-  differential catalog "SELECT x.a FROM X x WHERE x.a >= 0";
-  (* none pass: every batch narrows to empty and is dropped *)
-  differential catalog "SELECT x.a FROM X x WHERE x.a > 100";
-  (* exactly one passes (the dangling b = 5 row): singleton selection *)
-  differential catalog "SELECT x.a FROM X x WHERE x.b = 5";
-  (* a predicate whose matching rows straddle the batch-2 boundary *)
-  differential catalog "SELECT x.b FROM X x WHERE x.a = 2"
+  List.iter (differential catalog) filter_edge_queries
 
 let test_join_edges () =
   let catalog = xy_catalog () in
-  differential catalog
-    "SELECT x.a FROM X x WHERE x.a IN (SELECT y.c FROM Y y WHERE y.d = x.b)";
-  differential catalog
-    "SELECT (a = x.a, cs = (SELECT y.c FROM Y y WHERE y.d = x.b)) FROM X x";
-  differential catalog
-    "SELECT x.a FROM X x WHERE COUNT(SELECT y.c FROM Y y WHERE y.d = x.b) \
-     = 0";
-  (* arithmetic + comparison kernels in the extend/filter fragment *)
-  differential catalog
-    "SELECT x.a + x.b FROM X x WHERE x.a * 2 < x.b + 10 AND x.a MOD 2 = 0"
+  List.iter (differential catalog) join_edge_queries
+
+(* With [Compile.enabled] off, no expression gets a kernel, so the batch
+   engine evaluates through the interpreter — and still produces the
+   compiled mode's value and work profile. *)
+let test_interpreted_mode () =
+  let catalog = xy_catalog () in
+  let queries = filter_edge_queries @ join_edge_queries in
+  let plan src =
+    match
+      Core.Pipeline.compile_string Core.Pipeline.Decorrelated catalog src
+    with
+    | Ok { Core.Pipeline.physical = Some pq; _ } -> pq
+    | _ -> Alcotest.failf "no physical plan for %s" src
+  in
+  let has_kernel () =
+    Option.is_some (Engine.Vexpr.compile catalog (parse "x.a * 2 < x.b + 10"))
+  in
+  Alcotest.(check bool) "kernel in compiled mode" true (has_kernel ());
+  let compiled = List.map (fun src -> run_engine catalog (plan src)) queries in
+  let interpreted =
+    Fun.protect
+      ~finally:(fun () -> Engine.Compile.enabled := true)
+      (fun () ->
+        Engine.Compile.enabled := false;
+        Alcotest.(check bool) "no kernel in interpreted mode" false
+          (has_kernel ());
+        List.map (fun src -> run_engine catalog (plan src)) queries)
+  in
+  List.iter2
+    (fun src ((cv, cs), (iv, is)) ->
+      Alcotest.(check bool) ("value on " ^ src) true (same_outcome cv iv);
+      Alcotest.(check bool) ("stats on " ^ src) true (cs = is))
+    queries
+    (List.combine compiled interpreted)
 
 (* --- the differential oracle --------------------------------------------- *)
 
-(* For random queries: at each jobs value, the vector run must match the
-   row run on the value (or fail with the identical error) and on the
-   complete Stats record — partitions included, since both sides run at
-   the same jobs. *)
+(* For random queries: the serial run at the default width must match
+   the interpreter's value (or fail where it fails), and every batch
+   width at 1 and 4 domains must reproduce that run's value and
+   jobs-invariant Stats. *)
 let prop_vector_oracle =
   qcheck ~count:120 "vector engine ≡ row engine (value + stats, jobs 1/4)"
     Test_random_queries.query_gen
@@ -146,42 +218,30 @@ let prop_vector_oracle =
             QCheck2.Test.fail_reportf "compile failed on %s: %s" src msg
           | Ok { Core.Pipeline.physical = None; _ } -> true
           | Ok { Core.Pipeline.physical = Some pq; _ } ->
-            let run ~vector ~jobs =
-              let stats = Stats.create () in
-              let outcome =
-                match Exec.run_under ~stats ~jobs ~vector cat Env.empty pq with
-                | v -> Ok v
-                | exception Cobj.Value.Type_error m -> Error ("type: " ^ m)
-                | exception Lang.Interp.Undefined m -> Error ("undefined: " ^ m)
-              in
-              (outcome, stats)
-            in
-            List.for_all
-              (fun jobs ->
-                let rv, rs = run ~vector:false ~jobs in
-                let vv, vs = run ~vector:true ~jobs in
-                let same_outcome =
-                  match (rv, vv) with
-                  | Ok a, Ok b -> Value.equal a b
-                  | Error a, Error b -> String.equal a b
-                  | _ -> false
-                in
-                (same_outcome
-                || QCheck2.Test.fail_reportf
-                     "value differs at jobs=%d on %s (%s)" jobs src cname)
-                && (vs = rs
+            let vref, sref = run_engine cat pq in
+            (agrees_with_interp cat src vref
+            || QCheck2.Test.fail_reportf "value differs from interp on %s (%s)"
+                 src cname)
+            && List.for_all
+                 (fun (jobs, batch) ->
+                   let v, s = run_engine ~jobs ~batch cat pq in
+                   (same_outcome vref v
                    || QCheck2.Test.fail_reportf
-                        "stats differ at jobs=%d on %s (%s):@.row    %a@.\
-                         vector %a"
-                        jobs src cname Stats.pp rs Stats.pp vs))
-              [ 1; 4 ])
+                        "value differs at jobs=%d batch=%d on %s (%s)" jobs
+                        batch src cname)
+                   && (jobs_invariant s = jobs_invariant sref
+                      || QCheck2.Test.fail_reportf
+                           "stats differ at jobs=%d batch=%d on %s (%s):@.\
+                            ref %a@.got %a"
+                           jobs batch src cname Stats.pp sref Stats.pp s))
+                 [ (1, 1); (1, 7); (4, 1); (4, 1024) ])
         [
           ("mixed", Test_random_queries.catalog);
           ("all-dangling", Test_random_queries.all_dangling_catalog);
         ])
 
 (* Batch-width sensitivity on random queries: the width is physical
-   layout only, never semantics. *)
+   layout only, never semantics. Width 1024 is the reference. *)
 let prop_batch_width_invariant =
   qcheck ~count:60 "batch width never changes value or stats"
     Test_random_queries.query_gen
@@ -194,31 +254,13 @@ let prop_batch_width_invariant =
         QCheck2.Test.fail_reportf "compile failed on %s: %s" src msg
       | Ok { Core.Pipeline.physical = None; _ } -> true
       | Ok { Core.Pipeline.physical = Some pq; _ } ->
-        let run ~vector ~batch =
-          let stats = Stats.create () in
-          let outcome =
-            match
-              Exec.run_under ~stats ~jobs:1 ~vector ~batch cat Env.empty pq
-            with
-            | v -> Ok v
-            | exception Cobj.Value.Type_error m -> Error m
-            | exception Lang.Interp.Undefined m -> Error m
-          in
-          (outcome, stats)
-        in
-        let rv, rs = run ~vector:false ~batch:1024 in
+        let rv, rs = run_engine ~batch:1024 cat pq in
         List.for_all
           (fun batch ->
-            let vv, vs = run ~vector:true ~batch in
-            let same =
-              match (rv, vv) with
-              | Ok a, Ok b -> Value.equal a b
-              | Error a, Error b -> String.equal a b
-              | _ -> false
-            in
-            (same && vs = rs)
+            let vv, vs = run_engine ~batch cat pq in
+            (same_outcome rv vv && vs = rs)
             || QCheck2.Test.fail_reportf "batch=%d differs on %s" batch src)
-          [ 1; 7; 1024 ])
+          [ 1; 7 ])
 
 let suite =
   [
@@ -227,6 +269,8 @@ let suite =
     Alcotest.test_case "late materialization" `Quick test_late_materialization;
     Alcotest.test_case "filter edge cases" `Quick test_filter_edges;
     Alcotest.test_case "join edge cases" `Quick test_join_edges;
+    Alcotest.test_case "interpreted mode stays interpreted" `Quick
+      test_interpreted_mode;
     prop_vector_oracle;
     prop_batch_width_invariant;
   ]
