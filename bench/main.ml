@@ -147,49 +147,58 @@ let operators_json case =
       Printf.eprintf "warning: could not analyze %s: %s\n%!" case.name msg;
       Json.Null)
 
-(* Serial-vs-parallel speedup on the hash nest-join at a larger scale than
-   the micro-suite ([Force_hash] keeps the planner off the index variant so
-   the partitioned join is what gets measured). The domain count comes from
-   NESTQL_JOBS when it asks for parallelism, else 4 — the artifact records
-   it either way, so a single-core CI runner is visible in the numbers
-   rather than silently averaged in. *)
+(* Serial-vs-partitioned speedup of the hash nest-join over a ladder of
+   scales, to find where partitioning starts to pay ([Force_hash] keeps
+   the planner off the index variant so the partitioned join is what gets
+   measured). The domain count comes from NESTQL_JOBS when it asks for
+   parallelism, else 4 — the artifact records it either way, so a
+   single-core CI runner is visible in the numbers rather than silently
+   averaged in. The top-level [scale]/[serial_ms]/[parallel_ms]/[speedup]
+   fields repeat the first rung, which older artifacts carry alone. *)
 let parallel_case ~suite =
-  let scale = if suite = "smoke" then 400 else 2000 in
+  let scales =
+    if suite = "smoke" then [ 400; 4000 ] else [ 400; 4000; 20000 ]
+  in
   let jobs =
     match Pipeline.default_jobs () with n when n >= 2 -> n | _ -> 4
-  in
-  let catalog =
-    Workload.Gen.xy
-      { Workload.Gen.default_xy with
-        nx = scale; ny = scale; key_dom = scale / 4; dangling = 0.1; seed = 77 }
   in
   let opts =
     { Core.Planner.default_options with
       Core.Planner.force = Core.Planner.Force_hash }
   in
-  let c =
-    compiled ~options:opts Pipeline.Decorrelated catalog
-      "SELECT (i = x.id, zs = (SELECT y.a FROM Y y WHERE y.b = x.b)) FROM X x"
+  let rung scale =
+    let catalog =
+      Workload.Gen.xy
+        { Workload.Gen.default_xy with
+          nx = scale; ny = scale; key_dom = scale / 4; dangling = 0.1;
+          seed = 77 }
+    in
+    let c =
+      compiled ~options:opts Pipeline.Decorrelated catalog
+        "SELECT (i = x.id, zs = (SELECT y.a FROM Y y WHERE y.b = x.b)) FROM X x"
+    in
+    let serial_v = Pipeline.execute ~jobs:1 catalog c in
+    let parallel_v = Pipeline.execute ~jobs catalog c in
+    if not (Cobj.Value.equal serial_v parallel_v) then
+      failwith "parallel hash nest-join diverged from serial execution";
+    let serial_ms =
+      Harness.measure_ms (fun () -> ignore (Pipeline.execute ~jobs:1 catalog c))
+    in
+    let parallel_ms =
+      Harness.measure_ms (fun () -> ignore (Pipeline.execute ~jobs catalog c))
+    in
+    (scale, serial_ms, parallel_ms, serial_ms /. parallel_ms)
   in
-  let serial_v = Pipeline.execute ~jobs:1 catalog c in
-  let parallel_v = Pipeline.execute ~jobs catalog c in
-  if not (Cobj.Value.equal serial_v parallel_v) then
-    failwith "parallel hash nest-join diverged from serial execution";
-  let serial_ms =
-    Harness.measure_ms (fun () -> ignore (Pipeline.execute ~jobs:1 catalog c))
-  in
-  let parallel_ms =
-    Harness.measure_ms (fun () -> ignore (Pipeline.execute ~jobs catalog c))
-  in
-  let speedup = serial_ms /. parallel_ms in
+  let rungs = List.map rung scales in
   Harness.print_table
-    ~title:
-      (Printf.sprintf "hash nest-join serial vs %d domains (n=%d)" jobs scale)
-    ~header:[ "jobs"; "ms"; "speedup" ]
-    [
-      [ "1"; Harness.fms serial_ms; "1.0x" ];
-      [ string_of_int jobs; Harness.fms parallel_ms; Harness.fratio speedup ];
-    ];
+    ~title:(Printf.sprintf "hash nest-join serial vs %d domains" jobs)
+    ~header:[ "n"; "serial ms"; "partitioned ms"; "speedup" ]
+    (List.map
+       (fun (scale, serial_ms, parallel_ms, speedup) ->
+         [ string_of_int scale; Harness.fms serial_ms;
+           Harness.fms parallel_ms; Harness.fratio speedup ])
+       rungs);
+  let scale, serial_ms, parallel_ms, speedup = List.hd rungs in
   Json.Obj
     [
       ("experiment", Json.String "E2-hash-nestjoin-parallel");
@@ -198,6 +207,18 @@ let parallel_case ~suite =
       ("serial_ms", Json.Float serial_ms);
       ("parallel_ms", Json.Float parallel_ms);
       ("speedup", Json.Float speedup);
+      ( "rungs",
+        Json.List
+          (List.map
+             (fun (scale, serial_ms, parallel_ms, speedup) ->
+               Json.Obj
+                 [
+                   ("n", Json.Int scale);
+                   ("serial_ms", Json.Float serial_ms);
+                   ("parallel_ms", Json.Float parallel_ms);
+                   ("speedup", Json.Float speedup);
+                 ])
+             rungs) );
     ]
 
 (* Bloom-filter sideways information passing on dangling-heavy workloads:

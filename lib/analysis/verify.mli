@@ -39,10 +39,6 @@
       declared key of the scanned right operand ({b nestjoin-build-side});
     - index joins probe an existing field of the indexed extension
       ({b index-field});
-    - Bloom-filter geometry consistency: the build-side cardinality
-      estimate sizing the filter is finite, and {!Engine.Bloom.create} is
-      geometry-deterministic for it — the precondition for OR-merging
-      per-partition filters ({b bloom-geometry});
     - columnar-engine coverage: {!Engine.Exec.vectorizable} must agree
       with an independent whitelist of the vector fragment (scan, filter,
       extend, project, and the hash-join family), so the operators left

@@ -224,10 +224,10 @@ let correlation_key_exprs corr query =
    single global sink for every operator (the legacy [?stats] behaviour);
    instrumented runs give each operator its own [Stats.node], descending
    the annotation tree in lockstep with the plan ([Analyze.children]
-   order). [jobs] is the partition-parallel width: 1 executes everything on
-   the calling domain, larger values let the hash-join family fan its
-   per-row work out over a domain pool (operands are still produced
-   serially, so child counters and timings are untouched). [bloom] enables
+   order). [jobs] is the domain count: it only sets how many partitions
+   [hash_core] splits the hash-join family into, and those partitions run
+   on a domain pool (operands are still produced serially, so child
+   counters and timings are untouched). [bloom] enables
    sideways information passing in the hash-join family: build sides
    populate a Bloom filter consulted before each probe. Pruned probes still
    count in [hash_probes], so disabling bloom changes only the bloom
@@ -273,9 +273,8 @@ let vectorizable = function
     true
   | _ -> false
 
-(* Kernel fallbacks are only recorded by operators that never delegate
-   on [jobs] (filter, extend), keeping every [exec.batch.*] counter
-   invariant under the domain count. *)
+(* Recorded by filter and extend only; a hash-join key kernel that
+   misses falls back to its row closure without a count. *)
 let note_fallback () =
   if Obs.Metrics.enabled () then Obs.Metrics.incr "exec.batch.kernel_fallbacks"
 
@@ -296,145 +295,151 @@ let key_at keyv keyfn b i =
   | `Col c -> Batch.get c i
   | `RowWise -> keyfn (Batch.env_at b i)
 
-(* --- partition-parallel helpers ------------------------------------------ *)
+(* --- the hash-join core -------------------------------------------------- *)
 
-(* Parallel sections run operator-local work (probes, predicate and
-   function evaluation) on pool domains. Each worker partition gets a
-   private [Stats.t], merged into the operator's own sink in deterministic
-   partition order afterwards, so instrumented trees and global totals are
-   identical to a serial run. Output comes back in serial row order:
-   hash partitions scatter per-left-row results into a dense array
-   indexed by the left row's input position.
-   Operands are always produced serially before a region starts, and
-   worker bodies never re-enter the executor, so regions never nest. *)
+let join_min = 2 (* below this many probe rows a join uses one partition *)
 
-let join_min = 2 (* partitioned joins parallelize from this many left rows *)
-
-let merge_parts stats parts =
-  Array.iter (fun p -> Stats.add ~into:stats p) parts
-
-(* Residual compiled once per operator; evaluation counts into the
-   partition's sink (the parallel counterpart of [compile_residual]). *)
+(* Residual compiled once per operator; each evaluation counts into the
+   sink it is given (a partition's private one inside [hash_core]). *)
 let residual_fn catalog = function
-  | None -> None
-  | Some pred -> Some (Compile.pred catalog pred)
+  | None -> fun _ _ -> true
+  | Some pred ->
+    let f = Compile.pred catalog pred in
+    fun (st : Stats.t) merged ->
+      st.Stats.predicate_evals <- st.Stats.predicate_evals + 1;
+      f merged
 
-let rok_part st rokfn merged =
-  match rokfn with
-  | None -> true
-  | Some f ->
-    st.Stats.predicate_evals <- st.Stats.predicate_evals + 1;
-    f merged
+(* The one hash join behind the whole family: join, semi/antijoin,
+   outerjoin and both nest joins differ only in [emit]. [jobs] only picks
+   the partition count: one at [jobs = 1] or below [join_min] probe rows,
+   else [2 * jobs].
 
-(* Hash-partitioned parallel join core: both sides split on the
-   precomputed key hash; each partition builds and probes its own table on
-   a worker, exactly as the serial operator would over that key subset.
-   [emit st l matches] produces the output rows for one probe row (matches
-   arrive in build-input order, like a serial probe); results scatter back
-   into probe-input order, so the concatenation is the serial output,
-   dangling tuples included.
+   Build: each build row is keyed once; its hash goes into the one Bloom
+   filter, filled here on the calling domain, and picks the partition
+   whose table the row joins. The tables are filled under [Pool.run].
 
-   With [bloom], each build partition populates its own filter, all sized
-   from the *total* build count — the same geometry a serial build uses —
-   so their OR-merge is bit-identical to the serial filter and the prune
-   counters are invariant under [jobs]. The merged filter screens probe
-   rows before partitioning: a pruned row emits its (empty-match) output
-   immediately and never touches a partition list, a worker, or the
-   scatter machinery. This is the sideways-information-passing pushdown —
-   probe rows are filtered at the source, upstream of partitioning. *)
-let par_hash_partitioned ~jobs ~bloom ~stats ~lkeyfn ~rkeyfn ~emit lrows rrows
-    =
-  let nparts = jobs * 2 in
-  let part h = h land max_int mod nparts in
-  let rparts = Array.make nparts [] in
-  let nbuild =
-    List.fold_left
-      (fun n r ->
-        let k = hkey (rkeyfn r) in
-        let p = part k.Hkey.h in
-        rparts.(p) <- (r, k) :: rparts.(p);
-        n + 1)
-      0 rrows
+   Probe, one batch at a time: the batch is keyed by the key kernel, or
+   row by row when the kernel misses or raises. A key the filter rules
+   out emits its empty-match output at once; every other slot is probed
+   by its partition under [Pool.run], which hands the slot's matches, in
+   build-input order, to [emit st b i matches] with the partition's
+   private sink [st]. The sinks merge in partition order and each
+   output is dealt back to its slot, so the result (per probe batch,
+   the [emit] output of each live slot in slot order) and every counter
+   but the two partition ones are the same at every [jobs]. *)
+let hash_core fr catalog ~build_key ~probe_key ~emit build probe =
+  let stats = fr.sink in
+  let nparts =
+    if fr.jobs = 1 || Batch.live_total probe < join_min then 1
+    else 2 * fr.jobs
   in
-  let tables = Array.init nparts (fun _ -> Htbl.create 64) in
-  let filters =
-    if bloom then Some (Array.init nparts (fun _ -> Bloom.create nbuild))
-    else None
+  let part k = k.Hkey.h land max_int mod nparts in
+  let build_keyfn = Compile.expr catalog build_key in
+  let filter =
+    if fr.bloom then Some (Bloom.create (List.length build)) else None
   in
-  let bparts = Array.init nparts (fun _ -> Stats.create ()) in
-  Pool.run ~jobs nparts (fun p ->
-      let st = bparts.(p) in
+  (* Each [rparts.(p)] is in reverse input order, so prepending its rows
+     to their buckets leaves every bucket in input order. *)
+  let rparts = Array.make nparts [] and sizes = Array.make nparts 0 in
+  List.iter
+    (fun r ->
+      stats.Stats.hash_builds <- stats.Stats.hash_builds + 1;
+      let k = hkey (build_keyfn r) in
+      Option.iter (fun f -> Bloom.add f k.Hkey.h) filter;
+      let p = part k in
+      rparts.(p) <- (r, k) :: rparts.(p);
+      sizes.(p) <- sizes.(p) + 1)
+    build;
+  let tables = Array.init nparts (fun _ -> Htbl.create 256) in
+  Pool.run ~jobs:fr.jobs nparts (fun p ->
       let table = tables.(p) in
       List.iter
         (fun (r, k) ->
-          st.Stats.hash_builds <- st.Stats.hash_builds + 1;
-          (match filters with
-          | Some fs -> Bloom.add fs.(p) k.Hkey.h
-          | None -> ());
           match Htbl.find_opt table k with
           | Some bucket -> Htbl.replace table k (r :: bucket)
           | None -> Htbl.add table k [ r ])
-        (List.rev rparts.(p)));
-  merge_parts stats bparts;
-  (* Skew accounting: the largest build partition bounds the parallel
-     speedup of the whole join, so record max rows (per-operator via the
-     sink) and the full per-partition distribution (metrics histogram). *)
-  stats.Stats.partitions <- stats.Stats.partitions + nparts;
-  Array.iter
-    (fun l ->
-      let rows = List.length l in
-      if rows > stats.Stats.partition_max_rows then
-        stats.Stats.partition_max_rows <- rows)
-    rparts;
-  if Obs.Metrics.enabled () then
+        rparts.(p));
+  if nparts > 1 then begin
+    (* The largest build partition bounds the parallel speedup: record it
+       on the operator, and the whole distribution as a histogram. *)
+    stats.Stats.partitions <- stats.Stats.partitions + nparts;
     Array.iter
-      (fun l -> Obs.Metrics.observe "par.partition_build_rows" (List.length l))
-      rparts;
-  let filter =
-    Option.map
-      (fun fs ->
-        let global = Bloom.create nbuild in
-        Array.iter (fun f -> Bloom.merge ~into:global f) fs;
-        global)
-      filters
-  in
-  let nl = List.length lrows in
-  let out = Array.make nl [] in
-  let lparts = Array.make nparts [] in
-  List.iteri
-    (fun i l ->
-      let k = hkey (lkeyfn l) in
-      let enqueue () =
-        let p = part k.Hkey.h in
-        lparts.(p) <- (i, l, k) :: lparts.(p)
-      in
-      match filter with
-      | None -> enqueue ()
-      | Some f ->
-        stats.Stats.bloom_checks <- stats.Stats.bloom_checks + 1;
-        if Bloom.mem f k.Hkey.h then enqueue ()
-        else begin
-          stats.Stats.bloom_prunes <- stats.Stats.bloom_prunes + 1;
+      (fun rows ->
+        stats.Stats.partition_max_rows <-
+          max stats.Stats.partition_max_rows rows;
+        if Obs.Metrics.enabled () then
+          Obs.Metrics.observe "par.partition_build_rows" rows)
+      sizes
+  end;
+  let probe_keyfn = Compile.expr catalog probe_key in
+  let kern = Vexpr.compile catalog probe_key in
+  List.map
+    (fun b ->
+      (* [route.(i)] is the partition that probes slot [i], or [nparts]
+         when the filter pruned it; [outs.(p)] holds what [emit] gave
+         partition [p]'s slots, in slot order. Outputs stay in lists:
+         an array of them as long as a batch would sit in the major
+         heap and promote every row stored into it. *)
+      let route = Array.make b.Batch.len nparts in
+      let slots = Array.make nparts [] in
+      let outs = Array.make (nparts + 1) [] in
+      let keyv = key_col kern b in
+      Batch.iter_live b (fun i ->
           stats.Stats.hash_probes <- stats.Stats.hash_probes + 1;
-          out.(i) <- emit stats l []
-        end)
-    lrows;
-  let pparts = Array.init nparts (fun _ -> Stats.create ()) in
-  Pool.run ~jobs nparts (fun p ->
-      let st = pparts.(p) in
-      let table = tables.(p) in
-      List.iter
-        (fun (i, l, k) ->
-          st.Stats.hash_probes <- st.Stats.hash_probes + 1;
-          let matches =
-            match Htbl.find_opt table k with
-            | Some bucket -> List.rev bucket
-            | None -> []
+          let k = hkey (key_at keyv probe_keyfn b i) in
+          let pruned =
+            match filter with
+            | None -> false
+            | Some f ->
+              stats.Stats.bloom_checks <- stats.Stats.bloom_checks + 1;
+              not (Bloom.mem f k.Hkey.h)
           in
-          out.(i) <- emit st l matches)
-        lparts.(p));
-  merge_parts stats pparts;
-  List.concat (Array.to_list out)
+          if pruned then begin
+            stats.Stats.bloom_prunes <- stats.Stats.bloom_prunes + 1;
+            outs.(nparts) <- emit stats b i [] :: outs.(nparts)
+          end
+          else begin
+            let p = part k in
+            route.(i) <- p;
+            slots.(p) <- (i, k) :: slots.(p)
+          end);
+      outs.(nparts) <- List.rev outs.(nparts);
+      let sinks = Array.init nparts (fun _ -> Stats.create ()) in
+      Pool.run ~jobs:fr.jobs nparts (fun p ->
+          let st = sinks.(p) and table = tables.(p) in
+          outs.(p) <-
+            List.map
+              (fun (i, k) ->
+                let matches =
+                  match Htbl.find_opt table k with Some ms -> ms | None -> []
+                in
+                emit st b i matches)
+              (List.rev slots.(p)));
+      Array.iter (fun st -> Stats.add ~into:stats st) sinks;
+      let acc = ref [] in
+      Batch.iter_live b (fun i ->
+          let p = route.(i) in
+          acc := List.hd outs.(p) :: !acc;
+          outs.(p) <- List.tl outs.(p));
+      List.rev !acc)
+    probe
+
+(* Everything [hash_core] emitted, in probe order. *)
+let flatten per_batch = List.concat (List.concat per_batch)
+
+(* Merged rows are always append(right row, left row), whichever side
+   probes: [probe_left] merges a left probe row with a right match, and
+   [Env.append] a right probe row with a left match. *)
+let probe_left l r = Env.append r l
+
+(* The probe row [p] merged with each of its matches that passes the
+   residual [rok]. *)
+let join_matches rok st merge p matches =
+  List.filter_map
+    (fun m ->
+      let merged = merge p m in
+      if rok st merged then Some merged else None)
+    matches
 
 (* Run one operator, charging its wall-clock and loop count to its
    annotation node when instrumenting. [live] counts the output rows for
@@ -490,11 +495,11 @@ and batches_fr fr catalog env plan =
 
 (* The columnar engine proper, sole executor of the vectorizable
    fragment.  For every operator below, the produced rows (in order)
-   and every [Stats] counter are the same at any [jobs] and any batch
-   width — the qcheck oracle in [test_batch] enforces this, and checks
-   values against the reference interpreter.  Expression kernels that
-   miss or raise fall back to the row-compiled closures, replayed in
-   row order. *)
+   and every [Stats] counter but the partition ones are the same at any
+   [jobs] and any batch width — the qcheck oracle in [test_batch]
+   enforces this, and checks values against the reference interpreter.
+   Expression kernels that miss or raise fall back to the row-compiled
+   closures, replayed in row order. *)
 and exec_batches fr catalog env plan =
   let stats = fr.sink in
   let out, nout =
@@ -589,241 +594,81 @@ and exec_batches fr catalog env plan =
       let probe_b, build_b, probe_key, build_key =
         if swap then (rb, lb, rkey, lkey) else (lb, rb, lkey, rkey)
       in
-      (* [p] is the probe row, [m] the build-side match; the merged env is
-         always append(right-row, left-row), independent of orientation. *)
-      let merged_of p m = if swap then Env.append p m else Env.append m p in
-      let pkeyfn = Compile.expr catalog probe_key in
-      let nprobe = if swap then nr else nl in
+      let merged_of = if swap then Env.append else probe_left in
+      let rok = residual_fn catalog residual in
       let out_rows =
-        if fr.jobs > 1 && nprobe >= join_min then
-          let bkeyfn = Compile.expr catalog build_key in
-          let rokfn = residual_fn catalog residual in
-          par_hash_partitioned ~jobs:fr.jobs ~bloom:fr.bloom ~stats
-            ~lkeyfn:pkeyfn ~rkeyfn:bkeyfn
-            ~emit:(fun st p matches ->
-              List.filter_map
-                (fun m ->
-                  let merged = merged_of p m in
-                  if rok_part st rokfn merged then Some merged else None)
-                matches)
-            (Batch.rows_of_batches probe_b)
-            (Batch.rows_of_batches build_b)
-        else begin
-          let rok = compile_residual ~stats catalog residual in
-          let table =
-            build_rows_table ~stats ~bloom:fr.bloom
-              (Compile.expr catalog build_key)
-              (Batch.rows_of_batches build_b)
-          in
-          let kern = Vexpr.compile catalog probe_key in
-          let acc = ref [] in
-          List.iter
-            (fun b ->
-              let keyv = key_col kern b in
-              Batch.iter_live b (fun i ->
-                  let kv = key_at keyv pkeyfn b i in
-                  match probe ~stats table (hkey kv) with
-                  | [] -> ()
-                  | ms ->
-                    (* Late materialization: the probe env is only built
-                       once the Bloom screen and table lookup found
-                       matches. *)
-                    let p = Batch.env_at b i in
-                    List.iter
-                      (fun m ->
-                        let merged = merged_of p m in
-                        if rok merged then acc := merged :: !acc)
-                      ms))
-            probe_b;
-          List.rev !acc
-        end
+        hash_core fr catalog ~build_key ~probe_key
+          ~emit:(fun st b i matches ->
+            match matches with
+            | [] -> []
+            | _ :: _ ->
+              (* Late materialization: the probe env is only built once
+                 the Bloom screen and table lookup found matches. *)
+              join_matches rok st merged_of (Batch.env_at b i) matches)
+          (Batch.rows_of_batches build_b)
+          probe_b
+        |> flatten
       in
       (Batch.of_rows ~size:fr.batch out_rows, List.length out_rows)
     | P.Hash_semijoin { lkey; rkey; residual; anti; left; right } ->
-      let lkeyfn = Compile.expr catalog lkey in
       let lb = batches_fr (c0 fr) catalog env left in
-      let nl = Batch.live_total lb in
-      if fr.jobs > 1 && nl >= join_min then begin
-        (* Delegate to the partitioned core over (batch, slot) pairs so
-           the output keeps the serial shape — narrowed input batches —
-           and the batch metrics stay jobs-invariant. *)
-        let pairs =
-          List.concat_map
-            (fun b ->
-              let acc = ref [] in
-              Batch.iter_live b (fun i -> acc := (b, i) :: !acc);
-              List.rev !acc)
-            lb
-        in
-        let kept =
-          par_hash_partitioned ~jobs:fr.jobs ~bloom:fr.bloom ~stats
-            ~lkeyfn:(fun (b, i) -> lkeyfn (Batch.env_at b i))
-            ~rkeyfn:(Compile.expr catalog rkey)
-            ~emit:
-              (let rokfn = residual_fn catalog residual in
-               fun st (b, i) matches ->
-                 let found =
-                   match matches with
-                   | [] -> false
-                   | _ ->
-                     let l = Batch.env_at b i in
-                     List.exists
-                       (fun r -> rok_part st rokfn (Env.append r l))
-                       matches
-                 in
-                 if (if anti then not found else found) then [ (b, i) ]
-                 else [])
-            pairs
-            (rows_fr (c1 fr) catalog env right)
-        in
-        (* [kept] preserves input order: split it back per source batch. *)
-        let rem = ref kept in
-        let out =
-          List.filter_map
-            (fun b ->
-              let rec take acc = function
-                | (b', i) :: tl when b' == b -> take (i :: acc) tl
-                | tl -> (Array.of_list (List.rev acc), tl)
-              in
-              let sel, tl = take [] !rem in
-              rem := tl;
-              if Array.length sel = 0 then None else Some (Batch.narrow b sel))
-            lb
-        in
-        (out, List.length kept)
-      end
-      else begin
-        let rok = compile_residual ~stats catalog residual in
-        let table =
-          build ~stats ~bloom:fr.bloom (c1 fr) catalog env right rkey
-        in
-        let kern = Vexpr.compile catalog lkey in
-        let n = ref 0 in
-        let out =
-          List.filter_map
-            (fun b ->
-              let keyv = key_col kern b in
-              let acc = ref [] in
-              Batch.iter_live b (fun i ->
-                  let kv = key_at keyv lkeyfn b i in
-                  let ms = probe ~stats table (hkey kv) in
-                  let found =
-                    match residual with
-                    | None -> ms <> []
-                    | Some _ ->
-                      let l = Batch.env_at b i in
-                      List.exists (fun r -> rok (Env.append r l)) ms
-                  in
-                  if (if anti then not found else found) then acc := i :: !acc);
-              let sel = Array.of_list (List.rev !acc) in
-              n := !n + Array.length sel;
-              if Array.length sel = 0 then None else Some (Batch.narrow b sel))
-            lb
-        in
-        (out, !n)
-      end
+      let rok = residual_fn catalog residual in
+      let kept =
+        hash_core fr catalog ~build_key:rkey ~probe_key:lkey
+          ~emit:(fun st b i matches ->
+            let found =
+              matches <> []
+              && (Option.is_none residual
+                 ||
+                 let l = Batch.env_at b i in
+                 List.exists (fun r -> rok st (Env.append r l)) matches)
+            in
+            if found <> anti then [ i ] else [])
+          (rows_fr (c1 fr) catalog env right)
+          lb
+      in
+      (* The output keeps the input's shape: narrowed input batches. *)
+      let out =
+        List.concat
+          (List.map2
+             (fun b slots ->
+               match List.concat slots with
+               | [] -> []
+               | sel -> [ Batch.narrow b (Array.of_list sel) ])
+             lb kept)
+      in
+      (out, Batch.live_total out)
     | P.Hash_outerjoin { lkey; rkey; residual; left; right } ->
-      let lkeyfn = Compile.expr catalog lkey in
       let rvars = P.vars_of right in
       let lb = batches_fr (c0 fr) catalog env left in
-      let nl = Batch.live_total lb in
+      let rok = residual_fn catalog residual in
       let out_rows =
-        if fr.jobs > 1 && nl >= join_min then
-          par_hash_partitioned ~jobs:fr.jobs ~bloom:fr.bloom ~stats ~lkeyfn
-            ~rkeyfn:(Compile.expr catalog rkey)
-            ~emit:
-              (let rokfn = residual_fn catalog residual in
-               fun st l matches ->
-                 let kept =
-                   List.filter_map
-                     (fun r ->
-                       let merged = Env.append r l in
-                       if rok_part st rokfn merged then Some merged else None)
-                     matches
-                 in
-                 match kept with
-                 | [] -> [ pad_nulls rvars l ]
-                 | _ :: _ -> kept)
-            (Batch.rows_of_batches lb)
-            (rows_fr (c1 fr) catalog env right)
-        else begin
-          let rok = compile_residual ~stats catalog residual in
-          let table =
-            build ~stats ~bloom:fr.bloom (c1 fr) catalog env right rkey
-          in
-          let kern = Vexpr.compile catalog lkey in
-          let acc = ref [] in
-          List.iter
-            (fun b ->
-              let keyv = key_col kern b in
-              Batch.iter_live b (fun i ->
-                  let kv = key_at keyv lkeyfn b i in
-                  let ms = probe ~stats table (hkey kv) in
-                  let l = Batch.env_at b i in
-                  let matches =
-                    List.filter_map
-                      (fun r ->
-                        let merged = Env.append r l in
-                        if rok merged then Some merged else None)
-                      ms
-                  in
-                  match matches with
-                  | [] -> acc := pad_nulls rvars l :: !acc
-                  | _ :: _ ->
-                    List.iter (fun m -> acc := m :: !acc) matches))
-            lb;
-          List.rev !acc
-        end
+        hash_core fr catalog ~build_key:rkey ~probe_key:lkey
+          ~emit:(fun st b i matches ->
+            let l = Batch.env_at b i in
+            match join_matches rok st probe_left l matches with
+            | [] -> [ pad_nulls rvars l ]
+            | kept -> kept)
+          (rows_fr (c1 fr) catalog env right)
+          lb
+        |> flatten
       in
       (Batch.of_rows ~size:fr.batch out_rows, List.length out_rows)
     | P.Hash_nestjoin { lkey; rkey; residual; func; label; left; right } ->
-      let lkeyfn = Compile.expr catalog lkey in
       let funcfn = Compile.expr catalog func in
       let lb = batches_fr (c0 fr) catalog env left in
-      let nl = Batch.live_total lb in
+      let rok = residual_fn catalog residual in
       let out_rows =
-        if fr.jobs > 1 && nl >= join_min then
-          par_hash_partitioned ~jobs:fr.jobs ~bloom:fr.bloom ~stats ~lkeyfn
-            ~rkeyfn:(Compile.expr catalog rkey)
-            ~emit:
-              (let rokfn = residual_fn catalog residual in
-               fun st l matches ->
-                 let members =
-                   List.filter_map
-                     (fun r ->
-                       let merged = Env.append r l in
-                       if rok_part st rokfn merged then Some (funcfn merged)
-                       else None)
-                     matches
-                 in
-                 [ Env.bind label (Value.set members) l ])
-            (Batch.rows_of_batches lb)
-            (rows_fr (c1 fr) catalog env right)
-        else begin
-          let rok = compile_residual ~stats catalog residual in
-          let table =
-            build ~stats ~bloom:fr.bloom (c1 fr) catalog env right rkey
-          in
-          let kern = Vexpr.compile catalog lkey in
-          let acc = ref [] in
-          List.iter
-            (fun b ->
-              let keyv = key_col kern b in
-              Batch.iter_live b (fun i ->
-                  let kv = key_at keyv lkeyfn b i in
-                  let ms = probe ~stats table (hkey kv) in
-                  let l = Batch.env_at b i in
-                  let members =
-                    List.filter_map
-                      (fun r ->
-                        let merged = Env.append r l in
-                        if rok merged then Some (funcfn merged) else None)
-                      ms
-                  in
-                  acc := Env.bind label (Value.set members) l :: !acc))
-            lb;
-          List.rev !acc
-        end
+        hash_core fr catalog ~build_key:rkey ~probe_key:lkey
+          ~emit:(fun st b i matches ->
+            let l = Batch.env_at b i in
+            let members =
+              List.map funcfn (join_matches rok st probe_left l matches)
+            in
+            [ Env.bind label (Value.set members) l ])
+          (rows_fr (c1 fr) catalog env right)
+          lb
+        |> flatten
       in
       (Batch.of_rows ~size:fr.batch out_rows, List.length out_rows)
     | _ ->
@@ -851,7 +696,7 @@ and exec_rows fr catalog env plan =
                  if predfn merged then Some merged else None)
                rrows)
     | P.Merge_join { lkey; rkey; residual; left; right } ->
-      let rok = compile_residual ~stats catalog residual in
+      let rok = residual_fn catalog residual stats in
       let lgroups = sorted_groups ~stats (c0 fr) catalog env left lkey in
       let rgroups = sorted_groups ~stats (c1 fr) catalog env right rkey in
       merge_groups lgroups rgroups
@@ -879,7 +724,7 @@ and exec_rows fr catalog env plan =
              in
              if anti then not found else found)
     | P.Merge_semijoin { lkey; rkey; residual; anti; left; right } ->
-      let rok = compile_residual ~stats catalog residual in
+      let rok = residual_fn catalog residual stats in
       let lgroups = sorted_groups ~stats (c0 fr) catalog env left lkey in
       let rgroups = sorted_groups ~stats (c1 fr) catalog env right rkey in
       (* march the two sorted group lists; every left group is emitted or
@@ -923,7 +768,7 @@ and exec_rows fr catalog env plan =
              in
              match matches with [] -> [ pad_nulls rvars l ] | _ :: _ -> matches)
     | P.Merge_outerjoin { lkey; rkey; residual; left; right } ->
-      let rok = compile_residual ~stats catalog residual in
+      let rok = residual_fn catalog residual stats in
       let rvars = P.vars_of right in
       let lgroups = sorted_groups ~stats (c0 fr) catalog env left lkey in
       let rgroups = sorted_groups ~stats (c1 fr) catalog env right rkey in
@@ -980,55 +825,32 @@ and exec_rows fr catalog env plan =
       (* Streaming right against a left build table: emits a group as soon
          as a right row matches, so it is only correct when [rkey] is unique
          on the right input (§6). Dangling left rows flush at the end. *)
-      let lkeyfn = Compile.expr catalog lkey in
-      let rkeyfn = Compile.expr catalog rkey in
-      let rok = compile_residual ~stats catalog residual in
+      let rok = residual_fn catalog residual in
       let funcfn = Compile.expr catalog func in
       let lrows = rows_fr (c0 fr) catalog env left in
-      let table = Htbl.create 256 in
-      let filter =
-        if fr.bloom then Some (Bloom.create (List.length lrows)) else None
+      let matched =
+        hash_core fr catalog ~build_key:lkey ~probe_key:rkey
+          ~emit:(fun st b i ls ->
+            match ls with
+            | [] -> []
+            | _ :: _ ->
+              let r = Batch.env_at b i in
+              List.filter_map
+                (fun l ->
+                  let merged = Env.append r l in
+                  if rok st merged then Some (l, merged) else None)
+                ls)
+          lrows
+          (batches_fr (c1 fr) catalog env right)
+        |> flatten
       in
-      List.iter
-        (fun l ->
-          stats.Stats.hash_builds <- stats.Stats.hash_builds + 1;
-          let k = hkey (lkeyfn l) in
-          Option.iter (fun f -> Bloom.add f k.Hkey.h) filter;
-          Htbl.replace table k
-            (l :: (try Htbl.find table k with Not_found -> [])))
-        lrows;
-      let matched : (Env.t * Env.t list) list ref = ref [] in
       let matched_keys = Vtbl.create 256 in
-      rows_fr (c1 fr) catalog env right
-      |> List.iter (fun r ->
-             let k = hkey (rkeyfn r) in
-             stats.Stats.hash_probes <- stats.Stats.hash_probes + 1;
-             let pruned =
-               match filter with
-               | None -> false
-               | Some f ->
-                 stats.Stats.bloom_checks <- stats.Stats.bloom_checks + 1;
-                 not (Bloom.mem f k.Hkey.h)
-             in
-             if pruned then
-               stats.Stats.bloom_prunes <- stats.Stats.bloom_prunes + 1
-             else
-               match Htbl.find_opt table k with
-               | None -> ()
-               | Some ls ->
-                 List.iter
-                   (fun l ->
-                     let merged = Env.append r l in
-                     if rok merged then begin
-                       matched := (l, [ merged ]) :: !matched;
-                       Vtbl.replace matched_keys (Env.to_value l) ()
-                     end)
-                   ls);
       let emitted =
-        List.rev_map
+        List.map
           (fun (l, merged) ->
-            Env.bind label (Value.set (List.map funcfn merged)) l)
-          !matched
+            Vtbl.replace matched_keys (Env.to_value l) ();
+            Env.bind label (Value.set [ funcfn merged ]) l)
+          matched
       in
       let dangling =
         List.filter_map
@@ -1039,7 +861,7 @@ and exec_rows fr catalog env plan =
       in
       emitted @ dangling
     | P.Merge_nestjoin { lkey; rkey; residual; func; label; left; right } ->
-      let rok = compile_residual ~stats catalog residual in
+      let rok = residual_fn catalog residual stats in
       let funcfn = Compile.expr catalog func in
       let lgroups = sorted_groups ~stats (c0 fr) catalog env left lkey in
       let rgroups = sorted_groups ~stats (c1 fr) catalog env right rkey in
@@ -1154,7 +976,7 @@ and exec_rows fr catalog env plan =
       end
     | P.Index_join { lkey; table; var; field; residual; left } ->
       let lkeyfn = Compile.expr catalog lkey in
-      let rok = compile_residual ~stats catalog residual in
+      let rok = residual_fn catalog residual stats in
       let t = Cobj.Catalog.find_exn table catalog in
       rows_fr (c0 fr) catalog env left
       |> List.concat_map (fun l ->
@@ -1165,7 +987,7 @@ and exec_rows fr catalog env plan =
                     if rok merged then Some merged else None))
     | P.Index_semijoin { lkey; table; var; field; residual; anti; left } ->
       let lkeyfn = Compile.expr catalog lkey in
-      let rok = compile_residual ~stats catalog residual in
+      let rok = residual_fn catalog residual stats in
       let t = Cobj.Catalog.find_exn table catalog in
       rows_fr (c0 fr) catalog env left
       |> List.filter (fun l ->
@@ -1178,7 +1000,7 @@ and exec_rows fr catalog env plan =
     | P.Index_nestjoin { lkey; table; var; field; residual; func; label; left }
       ->
       let lkeyfn = Compile.expr catalog lkey in
-      let rok = compile_residual ~stats catalog residual in
+      let rok = residual_fn catalog residual stats in
       let funcfn = Compile.expr catalog func in
       let t = Cobj.Catalog.find_exn table catalog in
       rows_fr (c0 fr) catalog env left
@@ -1201,57 +1023,6 @@ and exec_rows fr catalog env plan =
   in
   stats.Stats.rows_out <- stats.Stats.rows_out + List.length out;
   out
-
-(* [rok] below is the residual check compiled once per operator; [keyfn]
-   likewise for key expressions. Hash/sort work counts on the operator that
-   does it; the rows produced by the operand count on the operand's own
-   frame. *)
-and compile_residual ~stats catalog residual =
-  match residual with
-  | None -> fun _ -> true
-  | Some pred ->
-    let f = Compile.pred catalog pred in
-    fun merged ->
-      stats.Stats.predicate_evals <- stats.Stats.predicate_evals + 1;
-      f merged
-
-and build_rows_table ~stats ~bloom keyfn rows =
-  let table = Htbl.create 256 in
-  let filter = if bloom then Some (Bloom.create (List.length rows)) else None in
-  (* Preserve input order within buckets. *)
-  List.iter
-    (fun r ->
-      stats.Stats.hash_builds <- stats.Stats.hash_builds + 1;
-      let k = hkey (keyfn r) in
-      Option.iter (fun f -> Bloom.add f k.Hkey.h) filter;
-      match Htbl.find_opt table k with
-      | Some bucket -> Htbl.replace table k (r :: bucket)
-      | None -> Htbl.add table k [ r ])
-    rows;
-  (table, filter)
-
-and build ~stats ~bloom fr catalog env plan key_expr =
-  build_rows_table ~stats ~bloom
-    (Compile.expr catalog key_expr)
-    (rows_fr fr catalog env plan)
-
-and probe ~stats (table, filter) k =
-  stats.Stats.hash_probes <- stats.Stats.hash_probes + 1;
-  let pruned =
-    match filter with
-    | None -> false
-    | Some f ->
-      stats.Stats.bloom_checks <- stats.Stats.bloom_checks + 1;
-      not (Bloom.mem f k.Hkey.h)
-  in
-  if pruned then begin
-    stats.Stats.bloom_prunes <- stats.Stats.bloom_prunes + 1;
-    []
-  end
-  else
-    match Htbl.find_opt table k with
-    | Some bucket -> List.rev bucket
-    | None -> []
 
 and sorted_groups ~stats fr catalog env plan key_expr =
   let keyfn = Compile.expr catalog key_expr in

@@ -24,26 +24,29 @@ val rows :
 (** Rows produced under an ambient environment (for correlation variables),
     in implementation order (not canonicalized).
 
-    [jobs] (default 1) is the partition-parallel width. With [jobs > 1],
-    the hash-based joins (join, semijoin, antijoin, outerjoin, nest join)
-    hash-partition both operands on the join key and run per-partition
-    joins on worker domains; every other operator (scans, filters,
-    extends and projections included) runs serially. Results come back
-    in serial row order and every counter lands on the same operator it
-    would serially, so output and statistics are identical for every
-    [jobs] value. Correlated apply subplans always execute serially
-    inside their apply loop (classified with {!query_free_vars}); values
-    above [Pool.max_jobs] are clamped.
+    [jobs] (default 1) is the domain count, and it sets only the
+    partition count of the hash-join family (join, semijoin, antijoin,
+    outerjoin, nest join and the left-build nest join): one partition at
+    [jobs = 1] or below two probe rows, else [2 * jobs]. All five run on
+    one core at every [jobs]: build rows are split on their key hash,
+    each partition's table is filled on a worker domain, and each probe
+    row is probed by the partition holding its key. Every other operator
+    (scans, filters, extends and projections included) runs serially.
+    Results come back in serial row order and every counter lands on the
+    same operator it would serially, so output and statistics are
+    identical for every [jobs] value, except [partitions] and
+    [partition_max_rows], which are 0 on one partition. Correlated apply
+    subplans always execute serially inside their apply loop (classified
+    with {!query_free_vars}); values above [Pool.max_jobs] are clamped.
 
     [bloom] (default true) enables sideways information passing in the
-    hash-join family: every build side populates a blocked Bloom filter on
-    its keys (hashes computed once and shared with the partition index and
-    the hash table), and each probe key is screened against it first — a
-    negative skips the hash lookup, and in the parallel path a pruned row
-    never reaches the partition/scatter machinery at all (the filter is
-    applied at the probe source, upstream of partitioning). Output is
-    byte-identical with bloom on or off, and so is every [Stats] counter
-    except [bloom_checks]/[bloom_prunes] (a pruned probe still counts in
+    hash-join family: every build side populates one blocked Bloom
+    filter on its keys, on the calling domain (hashes computed once and
+    shared with the partition index and the hash table), and each probe
+    key is screened against it first — a negative skips the hash lookup
+    and never reaches a partition. Output is byte-identical with bloom on
+    or off, and so is every [Stats] counter except
+    [bloom_checks]/[bloom_prunes] (a pruned probe still counts in
     [hash_probes]). The commutative [Hash_join] additionally builds on the
     smaller operand at runtime ([build_side_swaps]); the one-sided
     operators — semijoin, antijoin, outerjoin, nest join — never swap (§7:
@@ -52,11 +55,12 @@ val rows :
     The {!vectorizable} operators run on the columnar batch engine, their
     only executor: scans emit typed column batches, filters narrow
     selection vectors, and the hash-join family probes per batch with
-    late materialization. Operators outside the fragment run row-at-a-time
-    over environments, with batches (re)built at the boundary. Results,
-    row order and every [Stats] counter are the same at every batch
-    width. When [Compile.enabled] is false, every expression goes
-    through the interpreter instead of a kernel.
+    key kernels and late materialization at every [jobs]. Operators
+    outside the fragment run row-at-a-time over environments, with
+    batches (re)built at the boundary. Results, row order and every
+    [Stats] counter are the same at every batch width. When
+    [Compile.enabled] is false, every expression goes through the
+    interpreter instead of a kernel.
 
     [batch] (default {!default_batch}, i.e. [NESTQL_BATCH] or 1024) is
     the physical batch width; values below 1 are clamped to 1. *)

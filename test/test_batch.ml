@@ -17,6 +17,7 @@ open Helpers
 module Batch = Engine.Batch
 module Exec = Engine.Exec
 module Stats = Engine.Stats
+module P = Engine.Physical
 
 (* --- batch representation ------------------------------------------------ *)
 
@@ -199,6 +200,82 @@ let test_interpreted_mode () =
     queries
     (List.combine compiled interpreted)
 
+(* The left-build nest join runs on the partitioned hash core too: at
+   every domain count and width it must reproduce the value and the
+   jobs-invariant Stats of one domain at width 1024. *)
+let test_left_build_jobs () =
+  let pq =
+    { P.plan = Test_engine.left_build_legal; result = parse "(y = y, zs = zs)" }
+  in
+  List.iter
+    (fun (cname, catalog) ->
+      let vref, sref = run_engine catalog pq in
+      Alcotest.(check bool) (cname ^ ": reference run succeeds") true
+        (Result.is_ok vref);
+      List.iter
+        (fun (jobs, batch) ->
+          let v, s = run_engine ~jobs ~batch catalog pq in
+          let tag = Printf.sprintf "%s jobs=%d batch=%d" cname jobs batch in
+          Alcotest.(check bool) ("value " ^ tag) true (same_outcome vref v);
+          Alcotest.(check bool) ("stats " ^ tag) true
+            (jobs_invariant s = jobs_invariant sref))
+        [ (1, 1); (4, 1); (4, 1024) ])
+    [
+      ("mixed", Test_random_queries.catalog);
+      ("all-dangling", Test_random_queries.all_dangling_catalog);
+    ]
+
+(* The two counters [jobs_invariant] blanks: with at least two probe
+   rows, 4 domains split every hash operator's build into 8 partitions,
+   the largest holding between an even share and all of it; one domain
+   records neither counter. *)
+let test_partition_counters () =
+  let catalog = Test_random_queries.catalog in
+  let x = P.Scan { table = "X"; var = "x" }
+  and y = P.Scan { table = "Y"; var = "y" } in
+  let lkey = parse "x.b" and rkey = parse "y.b" in
+  let plans =
+    [
+      ( "hash-join",
+        P.Hash_join { lkey; rkey; residual = None; left = x; right = y } );
+      ( "hash-semijoin",
+        P.Hash_semijoin
+          { lkey; rkey; residual = None; anti = false; left = x; right = y } );
+      ( "hash-outerjoin",
+        P.Hash_outerjoin { lkey; rkey; residual = None; left = x; right = y } );
+      ( "hash-nestjoin",
+        P.Hash_nestjoin
+          { lkey; rkey; residual = None; func = parse "y.a"; label = "g";
+            left = x; right = y } );
+      ("hash-nestjoin-left", Test_engine.left_build_legal);
+    ]
+  in
+  let counters jobs plan =
+    let node = Engine.Analyze.tree_of_plan plan in
+    ignore (Exec.rows_instrumented ~jobs node catalog Env.empty plan);
+    node.Stats.counters
+  in
+  List.iter
+    (fun (name, plan) ->
+      let s = counters 4 plan in
+      let builds = s.Stats.hash_builds in
+      Alcotest.(check bool) (name ^ ": at least two probe rows") true
+        (s.Stats.hash_probes >= 2);
+      Alcotest.(check int) (name ^ ": 8 partitions at jobs 4") 8
+        s.Stats.partitions;
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: ceil(%d/8) <= part-max %d <= %d" name builds
+           s.Stats.partition_max_rows builds)
+        true
+        ((builds + 7) / 8 <= s.Stats.partition_max_rows
+        && s.Stats.partition_max_rows <= builds);
+      let s1 = counters 1 plan in
+      Alcotest.(check int) (name ^ ": no partitions at jobs 1") 0
+        s1.Stats.partitions;
+      Alcotest.(check int) (name ^ ": no part-max at jobs 1") 0
+        s1.Stats.partition_max_rows)
+    plans
+
 (* --- the differential oracle --------------------------------------------- *)
 
 (* For random queries: the serial run at the default width must match
@@ -271,6 +348,9 @@ let suite =
     Alcotest.test_case "join edge cases" `Quick test_join_edges;
     Alcotest.test_case "interpreted mode stays interpreted" `Quick
       test_interpreted_mode;
+    Alcotest.test_case "left-build nest join at every jobs" `Quick
+      test_left_build_jobs;
+    Alcotest.test_case "partition counters" `Quick test_partition_counters;
     prop_vector_oracle;
     prop_batch_width_invariant;
   ]

@@ -179,6 +179,11 @@ let nestjoin_residual_test =
 
 (* Left-build hash nest join: legal when the right key is unique. Join Y
    (non-unique b) against X on the unique X id to exercise it. *)
+let left_build_legal =
+  P.Hash_nestjoin_left
+    { lkey = parse "y.b"; rkey = parse "x.id"; residual = None;
+      func = parse "x.a"; label = "zs"; left = sy; right = sx }
+
 let test_nestjoin_left_build_legal () =
   List.iter
     (fun (cname, catalog) ->
@@ -187,13 +192,8 @@ let test_nestjoin_left_build_legal () =
           { pred = parse "y.b = x.id"; func = parse "x.a"; label = "zs";
             left = y; right = x }
       in
-      let physical =
-        P.Hash_nestjoin_left
-          { lkey = parse "y.b"; rkey = parse "x.id"; residual = None;
-            func = parse "x.a"; label = "zs"; left = sy; right = sx }
-      in
       check_against_oracle ("left-build legal/" ^ cname) catalog logical
-        physical)
+        left_build_legal)
     catalogs
 
 (* With a non-unique right key the streaming left-build variant produces

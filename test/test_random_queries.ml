@@ -308,8 +308,8 @@ let prop_parallel_stats_exact =
     && a.Stats.sorts = b.Stats.sorts
     && a.Stats.applies = b.Stats.applies
     && a.Stats.apply_hits = b.Stats.apply_hits
-    (* bloom counters are jobs-invariant by design: per-partition filters
-       are sized from the total build count and OR-merged *)
+    (* bloom counters are jobs-invariant by design: a join's one filter is
+       built on the calling domain before partitioning *)
     && a.Stats.bloom_checks = b.Stats.bloom_checks
     && a.Stats.bloom_prunes = b.Stats.bloom_prunes
     && a.Stats.build_side_swaps = b.Stats.build_side_swaps
