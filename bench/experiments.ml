@@ -430,20 +430,26 @@ let apply_memo () =
               nx = 400; ny = 400; key_dom; dangling = 0.0; seed = 41 }
         in
         let plain_ms, v1, st1 = run_ms Pipeline.Naive catalog query in
-        let memo_ms, v2, st2 =
+        let memo use_indexes =
           run_ms
             ~options:
               { Core.Planner.default_options with
-                Core.Planner.memo_applies = true }
+                Core.Planner.memo_applies = true; use_indexes }
             Pipeline.Naive catalog query
         in
+        (* memoization alone: the subquery still filters a scan of Y *)
+        let memo_ms, v2, st2 = memo false in
+        (* and with its correlated filter turned into an index probe *)
+        let probe_ms, v4, _ = memo true in
         let opt_ms, v3, _ = run_ms Pipeline.Decorrelated catalog query in
         assert (Value.equal v1 v2);
         assert (Value.equal v1 v3);
+        assert (Value.equal v1 v4);
         [
           fint key_dom;
           fms plain_ms;
           fms memo_ms;
+          fms probe_ms;
           fms opt_ms;
           fint st1.Engine.Stats.applies;
           fint st2.Engine.Stats.applies;
@@ -456,13 +462,14 @@ let apply_memo () =
             decorrelation"
     ~header:
       [
-        "key dom"; "apply ms"; "apply+memo ms"; "nest join ms"; "evals";
-        "memo evals"; "memo hits";
+        "key dom"; "apply ms"; "apply+memo ms"; "memo+index ms";
+        "nest join ms"; "evals"; "memo evals"; "memo hits";
       ]
     rows;
   print_endline
     "shape check: memoization helps exactly in proportion to duplicate \
-     correlation keys; the nest join is insensitive to it."
+     correlation keys; the nest join is insensitive to it, and so is a \
+     memoized apply that probes Y's index instead of scanning it."
 
 (* ---------------------------------------------------------------- E7 --- *)
 

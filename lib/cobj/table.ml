@@ -5,6 +5,8 @@ module Value_tbl = Hashtbl.Make (struct
   let hash = Value.hash
 end)
 
+module Smap = Map.Make (String)
+
 type attr = {
   ndv : int option;
   null_frac : float;
@@ -20,7 +22,8 @@ type t = {
   rows : Value.t list;
   key : string list option;
   summary : summary option Atomic.t;
-  index_cache : (string, Value.t list Value_tbl.t) Hashtbl.t;
+  indexes : Value.t list Value_tbl.t Smap.t Atomic.t;
+      (* field -> built index; a published index is never mutated *)
 }
 
 let verify_key rows fields =
@@ -56,7 +59,7 @@ let create ?key ~name ~elt values =
     rows;
     key;
     summary = Atomic.make None;
-    index_cache = Hashtbl.create 4;
+    indexes = Atomic.make Smap.empty;
   }
 
 let name t = t.name
@@ -80,20 +83,31 @@ let build_index field t =
   Value_tbl.filter_map_inplace (fun _ bucket -> Some (List.rev bucket)) index;
   index
 
+(* Compute, then publish, as [summary] does: the index is complete before
+   any other domain can see it. A domain that loses the compare-and-set to
+   another publisher of the same field adopts the winner's index. *)
+let index field t =
+  match Smap.find_opt field (Atomic.get t.indexes) with
+  | Some index -> index
+  | None ->
+    let built = build_index field t in
+    let rec publish () =
+      let seen = Atomic.get t.indexes in
+      match Smap.find_opt field seen with
+      | Some index -> index
+      | None ->
+        if Atomic.compare_and_set t.indexes seen (Smap.add field built seen)
+        then built
+        else publish ()
+    in
+    publish ()
+
 let index_lookup field t v =
-  let index =
-    match Hashtbl.find_opt t.index_cache field with
-    | Some index -> index
-    | None ->
-      let index = build_index field t in
-      Hashtbl.add t.index_cache field index;
-      index
-  in
-  match Value_tbl.find_opt index v with
+  match Value_tbl.find_opt (index field t) v with
   | Some rows -> rows
   | None -> []
 
-let has_index field t = Hashtbl.mem t.index_cache field
+let has_index field t = Smap.mem field (Atomic.get t.indexes)
 
 (* Attribute labels come from the declared element type when it is a tuple
    (the common case for base tables); a non-tuple element type yields a

@@ -46,7 +46,8 @@ val index_lookup : string -> t -> Value.t -> Value.t list
     via a hash index built on first use and cached for the table's lifetime
     (tables are immutable). Rows lacking the field are simply absent from
     the index. Probing is O(1); the index powers the engine's index-join
-    operators. *)
+    operators. Domain-safe like {!summary}: a domain racing the first build
+    builds the same index again, and one of the two is kept. *)
 
 val has_index : string -> t -> bool
 (** Whether the index for [field] has been materialized already (used by

@@ -21,11 +21,16 @@ type entry = {
   inputs : string;  (** responsible statistics, from [Cost.explain] *)
 }
 
+(* Rows per evaluation: an estimate is for one evaluation of the operator,
+   while [rows_out] accumulates over all of them (an operator under a
+   correlated Apply runs once per binding). *)
+let per_loop ~actual ~loops = float_of_int actual /. float_of_int (max 1 loops)
+
 (* Symmetric divergence ratio ≥ 1.0; both sides floored at one row so
    "estimated 3, saw 0" is 3× rather than infinite and exact matches on
    empty operators are 1×. *)
-let divergence ~est ~actual =
-  let e = Float.max 1.0 est and a = Float.max 1.0 (float_of_int actual) in
+let divergence ~est ~actual ~loops =
+  let e = Float.max 1.0 est and a = Float.max 1.0 (per_loop ~actual ~loops) in
   Float.max (e /. a) (a /. e)
 
 (* Walk plan and annotation tree in lockstep (same shape by
@@ -35,15 +40,15 @@ let rec collect catalog plan (n : Stats.node) acc =
   let acc =
     if Float.is_nan n.Stats.est_rows then acc
     else
-      let actual = n.Stats.counters.Stats.rows_out in
+      let actual = n.Stats.counters.Stats.rows_out and loops = n.Stats.loops in
       {
         op = n.Stats.op;
         detail = n.Stats.detail;
         est = n.Stats.est_rows;
         actual;
-        loops = n.Stats.loops;
-        factor = divergence ~est:n.Stats.est_rows ~actual;
-        under = float_of_int actual > n.Stats.est_rows;
+        loops;
+        factor = divergence ~est:n.Stats.est_rows ~actual ~loops;
+        under = per_loop ~actual ~loops > n.Stats.est_rows;
         inputs = Cost.explain catalog plan;
       }
       :: acc
@@ -79,7 +84,11 @@ let pp ?(floor = noise) ppf entries =
         e.op
         (if e.detail = "" then "" else " " ^ e.detail)
         e.est e.actual
-        (if e.loops > 1 then Printf.sprintf " (over %d loops)" e.loops else "")
+        (if e.loops > 1 then
+           Printf.sprintf " (%.1f per loop over %d loops)"
+             (per_loop ~actual:e.actual ~loops:e.loops)
+             e.loops
+         else "")
         e.inputs)
     bad;
   (match bad, ok with

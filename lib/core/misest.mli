@@ -7,12 +7,13 @@ type entry = {
   op : string;
   detail : string;
   est : float;
-  actual : int;
+  actual : int;  (** rows produced, summed over all loops *)
   loops : int;
   factor : float;
-      (** symmetric divergence [max(est/actual, actual/est)], both sides
-          floored at one row, so always ≥ 1.0 *)
-  under : bool;  (** the model underestimated (actual > est) *)
+      (** symmetric divergence [max(est/a, a/est)] of the per-evaluation
+          estimate against [a = actual / loops], the rows of one
+          evaluation; both sides floored at one row, so always ≥ 1.0 *)
+  under : bool;  (** the model underestimated ([a > est]) *)
   inputs : string;  (** where the estimate came from ({!Cost.explain}) *)
 }
 

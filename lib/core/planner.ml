@@ -57,6 +57,30 @@ let rkey_is_key_of catalog right rkey =
   end
   | _ -> false
 
+(* The correlated equalities [var.field = e] of a filter over the scan of
+   [var]: [e] has free variables and none is [var], so its value comes from
+   the enclosing environment. One [(e, field, residual)] per such conjunct,
+   the residual holding every other conjunct. Constant equalities stay in
+   the filter. *)
+let correlated_keys ~var pred =
+  match Kim.equi_split ~left_vars:[] ~right_vars:[ var ] pred with
+  | None -> []
+  | Some (pairs, residual) ->
+    let conjunct (l, r) = Ast.Binop (Ast.Eq, l, r) in
+    List.concat
+      (List.mapi
+         (fun i (l, r) ->
+           match r with
+           | Ast.Field (Ast.Var v, field)
+             when String.equal v var && not (Sset.is_empty (Ast.free_vars l))
+             ->
+             let others =
+               List.filteri (fun j _ -> j <> i) pairs |> List.map conjunct
+             in
+             [ (l, field, residual_of (others @ residual)) ]
+           | _ -> [])
+         pairs)
+
 let cheapest catalog candidates =
   match candidates with
   | [] -> invalid_arg "Planner.cheapest: no candidates"
@@ -103,6 +127,20 @@ let rec plan_aux options catalog lp =
   match lp with
   | Plan.Unit -> P.Unit_row
   | Plan.Table { name; var } -> P.Scan { table = name; var }
+  | Plan.Select { pred; input = Plan.Table { name; var } as input }
+    when options.use_indexes && options.memo_applies ->
+    (* A filter left under a memoized Apply may probe the table's cached
+       index with the correlation value instead of rescanning the table once
+       per binding. Buckets keep table order, so the rows come out as the
+       filter emits them. *)
+    let filter = P.Filter { pred; input = recur input } in
+    pick ~nl:filter
+      (filter
+      :: List.map
+           (fun (lkey, field, residual) ->
+             P.Index_join
+               { left = P.Unit_row; lkey; table = name; var; field; residual })
+           (correlated_keys ~var pred))
   | Plan.Select { pred; input } -> P.Filter { pred; input = recur input }
   | Plan.Join { pred; left; right } -> begin
     let l = recur left and r = recur right in

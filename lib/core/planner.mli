@@ -10,7 +10,11 @@
 
     Uncorrelated Apply subqueries are always memoized (they are constants of
     the ambient environment); correlated ones keep naive re-evaluation unless
-    [memo_applies] is set (ablation E6). *)
+    [memo_applies] is set (ablation E6). With [memo_applies] and
+    [use_indexes], a filter over a base-table scan that holds a correlated
+    equality [var.field = e] ([e] reads only enclosing variables) also gets
+    an index-join-over-unit candidate: one probe of the table's cached index
+    per evaluation instead of a scan, the other conjuncts as residual. *)
 
 type impl_force =
   | Auto            (** cost-based choice *)
@@ -23,8 +27,9 @@ type options = {
   memo_applies : bool;  (** memoize correlated applies too *)
   use_indexes : bool;
       (** allow index-join variants when the right operand is a bare base
-          table and the key is a plain field (default true; [force] modes
-          other than [Auto] exclude them) *)
+          table and the key is a plain field, and (with [memo_applies]) for
+          correlated equality filters over a base table (default true;
+          [force] modes other than [Auto] exclude them) *)
 }
 
 val default_options : options

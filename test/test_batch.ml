@@ -276,6 +276,60 @@ let test_partition_counters () =
         s1.Stats.partition_max_rows)
     plans
 
+(* The correlated filters of a memoized Apply become index probes
+   (Test_planner.apply_deep): the values must equal the interpreter's at
+   every domain count and width, and the probes must do at least 10× less
+   predicate work than the filters they replace. *)
+let test_apply_index_probe () =
+  let compile ?options catalog src =
+    match
+      Core.Pipeline.compile_string ?options Core.Pipeline.Decorrelated catalog
+        src
+    with
+    | Ok { Core.Pipeline.physical = Some pq; _ } -> pq
+    | Ok _ -> Alcotest.failf "no physical plan for %s" src
+    | Error msg -> Alcotest.failf "compile failed on %s: %s" src msg
+  in
+  List.iter
+    (fun (name, src) ->
+      List.iter
+        (fun (cname, catalog) ->
+          let pq = compile catalog src in
+          Alcotest.(check bool) (name ^ " probes the index on " ^ cname) true
+            (Test_planner.find_op Test_planner.unit_probe pq.P.plan);
+          List.iter
+            (fun (jobs, batch) ->
+              let v, _ = run_engine ~jobs ~batch catalog pq in
+              Alcotest.(check bool)
+                (Printf.sprintf "%s on %s (jobs=%d, batch=%d) agrees with \
+                                 the interpreter"
+                   name cname jobs batch)
+                true
+                (Result.is_ok v && agrees_with_interp catalog src v))
+            [ (1, 1); (1, 1024); (4, 1024) ])
+        [
+          ("mixed", Test_random_queries.catalog);
+          ("all-dangling", Test_random_queries.all_dangling_catalog);
+        ];
+      let catalog = Test_planner.apply_deep_catalog 200 in
+      let evals options =
+        let _, s = run_engine catalog (compile ?options catalog src) in
+        s.Stats.predicate_evals
+      in
+      let probed = evals None
+      and filtered =
+        evals
+          (Some
+             { Core.Planner.default_options with
+               memo_applies = true; use_indexes = false })
+      in
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: %d predicate evals, at least 10x below %d" name
+           probed filtered)
+        true
+        (10 * probed <= filtered))
+    Test_planner.apply_deep
+
 (* --- the differential oracle --------------------------------------------- *)
 
 (* For random queries: the serial run at the default width must match
@@ -351,6 +405,8 @@ let suite =
     Alcotest.test_case "left-build nest join at every jobs" `Quick
       test_left_build_jobs;
     Alcotest.test_case "partition counters" `Quick test_partition_counters;
+    Alcotest.test_case "apply index probe at every jobs" `Quick
+      test_apply_index_probe;
     prop_vector_oracle;
     prop_batch_width_invariant;
   ]

@@ -225,6 +225,121 @@ let test_cost_sanity () =
   Alcotest.check Alcotest.bool "cost(hash) < cost(nl)" true
     (Core.Cost.cost catalog hash < Core.Cost.cost catalog nl)
 
+(* The three queries whose correlation skips a level: decorrelation leaves
+   a memoized Apply whose body filters Y by the outer x.b. *)
+let apply_deep =
+  [
+    ( "ws-eq",
+      "SELECT (i = x.id, ys = (SELECT (a = y.a, ws = (SELECT w.a FROM Y w \
+       WHERE w.b = x.b AND w.a = y.a)) FROM Y y WHERE y.b = x.b)) FROM X x" );
+    ( "sum-counts",
+      "SELECT (i = x.id, n = SUM(SELECT COUNT(SELECT w.id FROM Y w WHERE w.a \
+       = y.a AND w.b = x.b) FROM Y y WHERE y.b = x.b)) FROM X x" );
+    ( "ws-lt",
+      "SELECT (i = x.id, ys = (SELECT (b = y.id, ws = (SELECT w.id FROM Y w \
+       WHERE w.b = x.b AND w.a < y.a)) FROM Y y WHERE y.b = x.b)) FROM X x" );
+  ]
+
+let apply_deep_catalog n =
+  Workload.Gen.xy
+    { Workload.Gen.default_xy with
+      nx = n; ny = n; key_dom = max 1 (n / 4); dangling = 0.2; seed = 1 }
+
+let physical ?options strategy catalog src =
+  match Core.Pipeline.compile_string ?options strategy catalog src with
+  | Ok { Core.Pipeline.physical = Some pq; _ } -> pq.P.plan
+  | Ok _ -> Alcotest.failf "no physical plan for %s" src
+  | Error msg -> Alcotest.failf "compile failed on %s: %s" src msg
+
+let unit_probe = function
+  | P.Index_join { left = P.Unit_row; _ } -> true
+  | _ -> false
+
+(* A filter over a scan whose predicate reads a variable the scan does not
+   bind. *)
+let correlated_filter_scan = function
+  | P.Filter { pred; input = P.Scan { var; _ } } ->
+    not
+      (Lang.Ast.String_set.is_empty
+         (Lang.Ast.String_set.remove var (Lang.Ast.free_vars pred)))
+  | _ -> false
+
+let in_apply f =
+  find_op (function
+    | P.Apply_op { subquery; _ } -> find_op f subquery.P.plan
+    | _ -> false)
+
+let test_apply_probes_index () =
+  let catalog = apply_deep_catalog 200 in
+  List.iter
+    (fun (name, src) ->
+      let plan = physical Core.Pipeline.Decorrelated catalog src in
+      Alcotest.(check bool) (name ^ ": index probe over unit in the apply")
+        true (in_apply unit_probe plan);
+      Alcotest.(check bool) (name ^ ": no correlated filter over a scan")
+        false
+        (find_op correlated_filter_scan plan))
+    apply_deep
+
+(* Without indexes, and under the strategies that plan without memoized
+   applies, the correlated filters stay filters over scans. *)
+let test_apply_probe_gated () =
+  let catalog = apply_deep_catalog 200 in
+  let unchanged what plan =
+    Alcotest.(check bool) (what ^ ": no index probe over unit") false
+      (find_op unit_probe plan);
+    Alcotest.(check bool) (what ^ ": correlated filter kept") true
+      (find_op correlated_filter_scan plan)
+  in
+  List.iter
+    (fun (name, src) ->
+      unchanged (name ^ " without indexes")
+        (physical
+           ~options:
+             { Core.Planner.default_options with
+               memo_applies = true; use_indexes = false }
+           Core.Pipeline.Decorrelated catalog src);
+      List.iter
+        (fun strategy ->
+          unchanged
+            (Printf.sprintf "%s under %s" name
+               (Core.Pipeline.strategy_name strategy))
+            (physical strategy catalog src))
+        Core.Pipeline.[ Naive; Kim_baseline; Ganski_wong; Muralikrishna ])
+    apply_deep
+
+(* Only an equality with a correlation value probes the index: a constant
+   equality or a range correlation alone keeps the filter, and a range
+   next to a correlated equality stays the probe's residual. *)
+let test_apply_probe_shapes () =
+  let plan pred =
+    let sub =
+      { Plan.plan = Plan.Select { pred = parse pred; input = y };
+        result = parse "y.a" }
+    in
+    Core.Planner.plan
+      ~options:{ Core.Planner.default_options with memo_applies = true }
+      catalog
+      (Plan.Apply { var = "z"; subquery = sub; input = x })
+  in
+  List.iter
+    (fun pred ->
+      let p = plan pred in
+      Alcotest.(check bool) (pred ^ ": filter kept") true
+        (in_apply (function P.Filter { input = P.Scan _; _ } -> true | _ -> false) p);
+      Alcotest.(check bool) (pred ^ ": no index probe") false
+        (find_op unit_probe p))
+    [ "y.b = 3"; "y.b = 3 AND y.a < x.a"; "y.a < x.a" ];
+  Alcotest.(check bool) "range stays residual" true
+    (in_apply
+       (function
+         | P.Index_join
+             { left = P.Unit_row; field = "b"; residual = Some r; lkey; _ } ->
+           Lang.Ast.equal lkey (parse "x.b")
+           && Lang.Ast.equal r (parse "y.a < x.a")
+         | _ -> false)
+       (plan "y.b = x.b AND y.a < x.a"))
+
 let suite =
   [
     Alcotest.test_case "equi join hashes" `Quick test_equi_join_hashes;
@@ -241,4 +356,8 @@ let suite =
     Alcotest.test_case "index operators correct" `Quick
       test_index_operators_correct;
     Alcotest.test_case "cost model sanity" `Quick test_cost_sanity;
+    Alcotest.test_case "memoized apply probes the index" `Quick
+      test_apply_probes_index;
+    Alcotest.test_case "apply index probe gated" `Quick test_apply_probe_gated;
+    Alcotest.test_case "apply index probe shapes" `Quick test_apply_probe_shapes;
   ]

@@ -2,7 +2,8 @@
    exceeds the root's inclusive wall time, at jobs 1 and jobs 4, for the
    hash-join strategies and for shredded execution (whose analyze tree
    has a synthetic stitch root). Also pins the sort order, the JSON
-   shape and the top-k cut. *)
+   shape, the top-k cut, and the misestimation report's per-loop
+   comparison. *)
 
 module Profile = Engine.Profile
 module Json = Engine.Json
@@ -157,6 +158,36 @@ let test_profile_metrics () =
       | _ -> Alcotest.failf "%s is not a gauge" name)
     self_gauges
 
+(* A scan under a memoized correlated Apply runs once per distinct
+   binding. Its estimate is for one run and exact, so the misestimation
+   report must compare it with the rows of one run and rate it 1.0×, not
+   loops× under. *)
+let test_misest_per_loop () =
+  let src = List.assoc "ws-eq" Test_planner.apply_deep in
+  let options =
+    { Core.Planner.default_options with memo_applies = true; use_indexes = false }
+  in
+  match Core.Pipeline.compile_string ~options Core.Pipeline.Decorrelated catalog src with
+  | Error msg -> Alcotest.failf "compile: %s" msg
+  | Ok ({ Core.Pipeline.physical = Some pq; _ } as compiled) -> (
+    match Core.Pipeline.analyze catalog compiled with
+    | Error msg -> Alcotest.failf "analyze: %s" msg
+    | Ok (_v, tree) ->
+      let scans =
+        List.filter
+          (fun (e : Core.Misest.entry) -> e.op = "scan" && e.detail = "Y w")
+          (Core.Misest.of_query catalog pq tree)
+      in
+      (match scans with
+      | [ e ] ->
+        Alcotest.(check bool)
+          (Printf.sprintf "scan runs %d > 1 times" e.loops)
+          true (e.loops > 1);
+        Alcotest.(check (float 1e-9)) "exact per-loop estimate" 1.0 e.factor;
+        Alcotest.(check bool) "not under" false e.under
+      | _ -> Alcotest.fail "expected one scan of Y w"))
+  | Ok _ -> Alcotest.fail "no physical plan"
+
 let suite =
   [
     Alcotest.test_case "Σ self ≤ root wall (jobs 1)" `Quick
@@ -170,4 +201,5 @@ let suite =
     Alcotest.test_case "JSON shape" `Quick test_json_shape;
     Alcotest.test_case "top-k cut" `Quick test_top_k;
     Alcotest.test_case "profile.self_us gauges" `Quick test_profile_metrics;
+    Alcotest.test_case "misest compares one loop" `Quick test_misest_per_loop;
   ]

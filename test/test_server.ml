@@ -359,6 +359,53 @@ let test_stats_cross_domain () =
   Alcotest.(check bool) "the two stamps differ" true
     (Cobj.Stats.version xy <> Cobj.Stats.version xyz)
 
+(* Four domains probe the indexes of tables no one has probed yet, so the
+   first builds race. Every answer must equal a serial lookup on an equal,
+   separately built catalog, and afterwards every domain must be reading
+   the one published index. *)
+let test_index_cross_domain () =
+  let fresh () = Workload.Gen.xy { Workload.Gen.default_xy with seed = 6 } in
+  let serial = fresh () and shared = fresh () in
+  let probes =
+    List.concat_map
+      (fun (table, field) ->
+        let t = Cobj.Catalog.find_exn table serial in
+        let keys =
+          List.sort_uniq Cobj.Value.compare
+            (List.map (Cobj.Value.field field) (Cobj.Table.rows t))
+        in
+        List.map
+          (fun k -> (table, field, k))
+          (Cobj.Value.Int (-1) :: Cobj.Value.Null :: keys))
+      [ ("X", "b"); ("Y", "b"); ("Y", "a"); ("X", "id") ]
+  in
+  let lookup c (table, field, k) =
+    Cobj.Table.index_lookup field (Cobj.Catalog.find_exn table c) k
+  in
+  let expected = List.map (lookup serial) probes in
+  (* all four start on the same field, so its first build races *)
+  let worker () = List.map (lookup shared) probes in
+  let results =
+    List.map Domain.join (List.init 4 (fun _ -> Domain.spawn worker))
+  in
+  List.iter
+    (fun rows ->
+      Alcotest.(check (list (list value))) "equals a serial lookup" expected rows)
+    results;
+  List.iter
+    (fun (table, field) ->
+      Alcotest.(check bool)
+        (Printf.sprintf "%s.%s index published" table field)
+        true
+        (Cobj.Table.has_index field (Cobj.Catalog.find_exn table shared)))
+    [ ("X", "b"); ("Y", "b"); ("Y", "a"); ("X", "id") ];
+  let published = List.map (lookup shared) probes in
+  List.iter
+    (fun rows ->
+      Alcotest.(check bool) "one index per field" true
+        (List.for_all2 (fun a b -> a = [] || a == b) rows published))
+    results
+
 let test_strategy_cache_keying () =
   (* The plan key includes the strategy, so the same query text under the
      nest-join and shredding backends must occupy distinct slots — a hit
@@ -749,6 +796,8 @@ let suite =
       test_stats_version_retention;
     Alcotest.test_case "stats cross-domain races" `Quick
       test_stats_cross_domain;
+    Alcotest.test_case "index cross-domain races" `Quick
+      test_index_cross_domain;
     Alcotest.test_case "strategy-keyed plan cache" `Quick
       test_strategy_cache_keying;
     Alcotest.test_case "cache cross-domain races" `Quick
